@@ -1,10 +1,16 @@
 """Nine-part acceptance suite shared by the CLI and the test gate.
 
-Each criterion is a function of (seed, quick) returning a CriterionResult
-whose details pair every reported number with its tolerance or standard
-error.  Quick mode shrinks sample counts and budgets but never loosens a
-tolerance or swaps out the logic under test, and a fixed seed reproduces
-every number bit for bit; the final criterion checks exactly that.
+Each criterion is an experiment function whose explicit parameters set its
+dimensions, counts, budgets and Monte Carlo draws; it returns a
+CriterionResult whose details pair every reported number with its tolerance
+or standard error.  ``PRESETS`` holds two parameter sets per criterion, full
+and quick, and ``criterion_*(seed, quick)`` runs an experiment at one of
+them.  Quick mode shrinks sample counts and budgets but never loosens a
+tolerance or swaps out the logic under test.  The CLI subcommands call the
+same experiment functions, with their flags overriding preset parameters,
+so a subcommand and its criterion report the same numbers.  A fixed seed
+reproduces every number bit for bit; the final criterion checks exactly
+that.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .multiplier import (g_profile, induction_diagnostics,
 from .norms import dilate, make_space, quasi_triangle_ratio, rho
 from .oscillatory import (PhasePoly, sublevel_measure, vdc_bound_check,
                           vinogradov_check)
-from .rng import STREAM_CORPUS, STREAM_GRAM, STREAM_KERNEL, substream
+from .rng import family_stream
 from .stable_poisson import (gram_psd_check, sample_kernel_batch,
                              semigroup_check, stable_density_1d,
                              subordination_identity_check)
@@ -73,15 +79,14 @@ def _finish(number: int, name: str, passed: bool, details: dict,
 
 # -- criterion 1 -------------------------------------------------------------
 
-def criterion_norm_axioms(seed: int = 0, quick: bool = False) -> CriterionResult:
+def norm_axioms(seed: int, dims, trials: int) -> CriterionResult:
     """Homogeneity and symmetry to 1e-12 relative, quasi-triangle ratio <= 2."""
     t0 = time.perf_counter()
-    trials = 1000 if quick else 10**4
     tol = 1e-12
     per_d = {}
     passed = True
-    for d in (1, 2, 3, 4, 8, 16, 32, 64):
-        rng = substream(seed, STREAM_CORPUS, 100 + d)
+    for d in dims:
+        rng = family_stream(seed, "norm-axioms", d)
         x = rng.standard_normal((trials, d)) * 10.0 ** rng.uniform(-6, 6, (trials, 1))
         s = 10.0 ** rng.uniform(-3, 3, trials)
         r = rho(x)
@@ -98,11 +103,10 @@ def criterion_norm_axioms(seed: int = 0, quick: bool = False) -> CriterionResult
 
 # -- criterion 2 -------------------------------------------------------------
 
-def criterion_closed_forms(seed: int = 0, quick: bool = False) -> CriterionResult:
+def closed_forms(seed: int, n_freq: int, n_pts: int) -> CriterionResult:
     """Quadrature and density inversion against one-dimensional closed forms."""
     t0 = time.perf_counter()
-    rng = substream(seed, STREAM_CORPUS, 2)
-    n_freq = 25 if quick else 100
+    rng = family_stream(seed, "closed-forms", 0)
     xs = np.sign(rng.standard_normal(n_freq)) * 10.0 ** rng.uniform(-2, 1.45, n_freq)
     err_sigma = 0.0
     err_mu = 0.0
@@ -111,7 +115,6 @@ def criterion_closed_forms(seed: int = 0, quick: bool = False) -> CriterionResul
         err_sigma = max(err_sigma, abs(sigma_hat((x,), tol=1e-11) - cf_sigma))
         err_mu = max(err_mu, abs(mu_hat((x,), tol=1e-11) - np.sinc(2.0 * x)))
 
-    n_pts = 15 if quick else 50
     pts = rng.uniform(-3.0, 3.0, n_pts)
     err_cauchy = 0.0
     err_gauss = 0.0
@@ -137,47 +140,45 @@ def criterion_closed_forms(seed: int = 0, quick: bool = False) -> CriterionResul
 
 # -- criterion 3 -------------------------------------------------------------
 
-def criterion_kernel_certification(seed: int = 0,
-                                   quick: bool = False) -> CriterionResult:
+def kernel_certification(seed: int, gram_dims, gram_sets: int, cf_dims,
+                         cf_samples: int, cf_freqs: int,
+                         semigroup_samples: int) -> CriterionResult:
     """Gram positivity, empirical characteristic functions, semigroup law."""
     t0 = time.perf_counter()
-    n_sets = 10 if quick else 50
     min_eig = math.inf
-    for d in (2, 4, 8):
-        for i in range(n_sets):
-            rng = substream(seed, STREAM_GRAM, 1000 * d + i)
+    for d in gram_dims:
+        for i in range(gram_sets):
+            rng = family_stream(seed, "gram", d, i)
             pts = rng.standard_normal((20, d)) * 10.0 ** rng.uniform(-2, 2, (20, 1))
             t = 10.0 ** rng.uniform(-1, 1)
             min_eig = min(min_eig, gram_psd_check(pts, t=t))
     gram_ok = min_eig >= -1e-8
 
-    n_samples = 10**5 if quick else 10**6
-    n_freq = 8 if quick else 20
     cf_ok = True
     worst = {"gap": 0.0, "sigma": math.inf, "ratio": 0.0, "d": 0}
-    for d in (1, 2, 4):
+    for d in cf_dims:
         space = make_space(d)
-        pts, _ = sample_kernel_batch(space, 1.0,
-                                     n_samples, substream(seed, STREAM_KERNEL, 10 + d))
-        rngf = substream(seed, STREAM_CORPUS, 300 + d)
+        pts, _ = sample_kernel_batch(space, 1.0, cf_samples,
+                                     family_stream(seed, "kernel-draws", d))
+        rngf = family_stream(seed, "kernel-frequencies", d)
         freqs = np.array([_annulus_point(rngf, d, 0.25, 2.5)
-                          for _ in range(n_freq)])
+                          for _ in range(cf_freqs)])
         target = np.exp(-rho(freqs))
         w = 2.0 * math.pi * freqs.T
-        sum_c = np.zeros(n_freq)
-        sum_s = np.zeros(n_freq)
-        sq_c = np.zeros(n_freq)
-        sq_s = np.zeros(n_freq)
-        for start in range(0, n_samples, 200_000):
+        sum_c = np.zeros(cf_freqs)
+        sum_s = np.zeros(cf_freqs)
+        sq_c = np.zeros(cf_freqs)
+        sq_s = np.zeros(cf_freqs)
+        for start in range(0, cf_samples, 200_000):
             phase = pts[start:start + 200_000] @ w
             c, s = np.cos(phase), np.sin(phase)
             sum_c += c.sum(axis=0)
             sum_s += s.sum(axis=0)
             sq_c += (c * c).sum(axis=0)
             sq_s += (s * s).sum(axis=0)
-        mean_c, mean_s = sum_c / n_samples, sum_s / n_samples
-        var = (sq_c / n_samples - mean_c**2) + (sq_s / n_samples - mean_s**2)
-        se = np.sqrt(np.maximum(var, 0.0) / n_samples)
+        mean_c, mean_s = sum_c / cf_samples, sum_s / cf_samples
+        var = (sq_c / cf_samples - mean_c**2) + (sq_s / cf_samples - mean_s**2)
+        se = np.sqrt(np.maximum(var, 0.0) / cf_samples)
         gap = np.abs(mean_c + 1j * mean_s - target)
         cf_ok = cf_ok and bool(np.all(gap <= 3.0 * se))
         i = int(np.argmax(gap / se))
@@ -186,12 +187,12 @@ def criterion_kernel_certification(seed: int = 0,
                      "ratio": float(gap[i] / se[i]), "d": d}
 
     semi = semigroup_check(0.7, 1.3, [[0.3, 1.1], [1.0, 0.2], [0.05, 0.6]],
-                           n_samples=50_000 if quick else 200_000, seed=seed)
+                           n_samples=semigroup_samples, seed=seed)
 
     details = {
         "gram_min_eigenvalue": {"value": min_eig, "tol": -1e-8},
-        "gram_sets_per_dim": n_sets,
-        "cf_samples": n_samples, "cf_frequencies_per_dim": n_freq,
+        "gram_sets_per_dim": gram_sets,
+        "cf_samples": cf_samples, "cf_frequencies_per_dim": cf_freqs,
         "cf_worst": {"gap": worst["gap"], "three_sigma": 3.0 * worst["sigma"],
                      "d": worst["d"]},
         "semigroup_fourier_gap": {"value": semi.fourier_gap, "tol": 5e-15},
@@ -240,19 +241,16 @@ def _sublevel_root_oracle(p: PhasePoly, a: float, b: float,
     return total
 
 
-def criterion_oscillatory_corpus(seed: int = 0,
-                                 quick: bool = False) -> CriterionResult:
+def oscillatory_corpus(seed: int, dims, count: int,
+                       oracle_count: int) -> CriterionResult:
     """Random polynomial corpus: both decay bounds and the sublevel oracle."""
     t0 = time.perf_counter()
-    dims = (2, 3, 4) if quick else (2, 3, 4, 5, 6)
-    count = 30 if quick else 200
-    oracle_count = 5 if quick else 10
     max_vin = 0.0
     max_vin_alt = 0.0
     max_vdc = 0.0
     max_sublevel_err = 0.0
     for d in dims:
-        rng = substream(seed, STREAM_CORPUS, 200 + d)
+        rng = family_stream(seed, "osc-corpus", d)
         for i in range(count):
             coeffs = (np.sign(rng.standard_normal(d))
                       * 10.0 ** rng.uniform(-1, 3, d))
@@ -285,13 +283,12 @@ def criterion_oscillatory_corpus(seed: int = 0,
 
 # -- criterion 6 -------------------------------------------------------------
 
-def criterion_multiplier_profile(seed: int = 0,
-                                 quick: bool = False) -> CriterionResult:
+def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
+                       n_env: int) -> CriterionResult:
     """Profile vs direct summation, dyadic invariance, base-case envelope."""
     t0 = time.perf_counter()
-    rng = substream(seed, STREAM_CORPUS, 6)
+    rng = family_stream(seed, "profile-oracle", 0)
 
-    n_oracle = 4 if quick else 10
     max_oracle_err = 0.0
     for _ in range(n_oracle):
         x = float(np.sign(rng.standard_normal()) * 10.0 ** rng.uniform(-1, 1))
@@ -304,11 +301,10 @@ def criterion_multiplier_profile(seed: int = 0,
         max_oracle_err = max(max_oracle_err, abs(prof.g_value - direct))
     oracle_ok = max_oracle_err <= 1e-6
 
-    per_dim = 3 if quick else 13
     inv_ok = True
     worst_inv = {"diff": 0.0, "allowance": math.inf}
-    for d in (1, 2, 3, 4):
-        rngd = substream(seed, STREAM_CORPUS, 400 + d)
+    for d in dims:
+        rngd = family_stream(seed, "profile-invariance", d)
         for _ in range(per_dim):
             xi = _annulus_point(rngd, d, 0.5, 2.0)
             g1 = g_profile(xi, tol=2e-3)
@@ -320,7 +316,6 @@ def criterion_multiplier_profile(seed: int = 0,
             if diff - allowance > worst_inv["diff"] - worst_inv["allowance"]:
                 worst_inv = {"diff": diff, "allowance": allowance}
 
-    n_env = 20 if quick else 60
     etas = np.logspace(-4, 4, n_env)
     env_const = 0.0
     for eta in etas:
@@ -342,23 +337,20 @@ def criterion_multiplier_profile(seed: int = 0,
 
 # -- criterion 7 -------------------------------------------------------------
 
-def criterion_log_growth(seed: int = 0, quick: bool = False) -> CriterionResult:
+def log_growth(seed: int, d_list, budget: int, ind_dims,
+               per_dim: int) -> CriterionResult:
     """Monotone sup estimates, bounded ratio to log(d+2), induction terms."""
     t0 = time.perf_counter()
-    d_list = (1, 2, 4, 8) if quick else (1, 2, 4, 8, 16)
-    budget = 120 if quick else 1000
     table = log_growth_experiment(d_list, budget=budget, seed=seed, tol=2e-3)
     sups = [row.sup_estimate for row in table.rows]
     monotone = all(b >= a for a, b in zip(sups[:-1], sups[1:]))
     ratios = [s / math.log(d + 2.0) for s, d in zip(sups, d_list)]
     spread = max(ratios) / min(ratios)
 
-    ind_dims = (2, 4, 8) if quick else (2, 4, 8, 16)
-    per_dim = 20 if quick else 100
     max_far = 0.0
     max_near = 0.0
     for d in ind_dims:
-        rng = substream(seed, STREAM_CORPUS, 700 + d)
+        rng = family_stream(seed, "induction", d)
         for _ in range(per_dim):
             diag = induction_diagnostics(_annulus_point(rng, d), tol=2e-3)
             max_far = max(max_far, diag.term_far + diag.term_far_tail)
@@ -429,45 +421,37 @@ def maxop_cases(d: int, quick: bool):
     raise ValueError("grid comparison cases exist for d = 1 or 2")
 
 
-def criterion_maxop_reductions(seed: int = 0,
-                               quick: bool = False) -> CriterionResult:
+def _refinement(check, f_coarse, f_fine):
+    """One comparison on a grid and on its refinement, which must halve it."""
+    c, f = check(f_coarse), check(f_fine)
+    halved = f.violation <= 0.5 * c.violation + 1e-12
+    return ({"violation_coarse": c.violation, "error_coarse": c.error_bound,
+             "violation_fine": f.violation, "error_fine": f.error_bound,
+             "halved": halved}, c.passed and f.passed and halved)
+
+
+def maxop_reductions(seed: int, dims, mc: int,
+                     small_grids: bool) -> CriterionResult:
     """Sandwich and split inequalities on grids, with refinement halving."""
     t0 = time.perf_counter()
-    mc = 500 if quick else 2000
-    cases = [(d,) + c for d in (1, 2) for c in maxop_cases(d, quick)]
+    cases = [(d,) + c for d in dims for c in maxop_cases(d, small_grids)]
 
     passed = True
     rows = []
     for d, name, fn, mins, maxs, shape, window, radii, t_samples, do_split \
             in cases:
         fine_shape = tuple(2 * (n - 1) + 1 for n in shape)
-        f_coarse = from_callable(fn, mins, maxs, shape)
-        f_fine = from_callable(fn, mins, maxs, fine_shape)
+        grids = (from_callable(fn, mins, maxs, shape),
+                 from_callable(fn, mins, maxs, fine_shape))
         row = {"d": d, "case": name, "shape": list(shape)}
-
-        sc = sandwich_check(f_coarse, window, radii, t_samples)
-        sf = sandwich_check(f_fine, window, radii, t_samples)
-        halved = sf.violation <= 0.5 * sc.violation + 1e-12
-        row["sandwich"] = {
-            "violation_coarse": sc.violation, "error_coarse": sc.error_bound,
-            "violation_fine": sf.violation, "error_fine": sf.error_bound,
-            "halved": halved,
-        }
-        passed = passed and sc.passed and sf.passed and halved
-
+        row["sandwich"], ok = _refinement(
+            lambda f: sandwich_check(f, window, radii, t_samples), *grids)
+        passed = passed and ok
         if do_split:
-            pc = split_check(f_coarse, window, t_samples, mc_samples=mc,
-                             seed=seed)
-            pf = split_check(f_fine, window, t_samples, mc_samples=mc,
-                             seed=seed)
-            s_halved = pf.violation <= 0.5 * pc.violation + 1e-12
-            row["split"] = {
-                "violation_coarse": pc.violation,
-                "error_coarse": pc.error_bound,
-                "violation_fine": pf.violation, "error_fine": pf.error_bound,
-                "halved": s_halved,
-            }
-            passed = passed and pc.passed and pf.passed and s_halved
+            row["split"], ok = _refinement(
+                lambda f: split_check(f, window, t_samples, mc_samples=mc,
+                                      seed=seed), *grids)
+            passed = passed and ok
         rows.append(row)
 
     return _finish(8, "maxop-reductions", passed,
@@ -494,6 +478,58 @@ def criterion_determinism(seed: int = 0, quick: bool = True) -> CriterionResult:
     return _finish(9, "determinism", same, details, t0)
 
 
+# Parameters of each experiment: the full preset, then what quick changes.
+PRESETS = {
+    "norm-axioms": ({"dims": (1, 2, 3, 4, 8, 16, 32, 64), "trials": 10**4},
+                    {"trials": 1000}),
+    "closed-form-oracles": ({"n_freq": 100, "n_pts": 50},
+                            {"n_freq": 25, "n_pts": 15}),
+    "kernel-certification": (
+        {"gram_dims": (2, 4, 8), "gram_sets": 50, "cf_dims": (1, 2, 4),
+         "cf_samples": 10**6, "cf_freqs": 20, "semigroup_samples": 200_000},
+        {"gram_sets": 10, "cf_samples": 10**5, "cf_freqs": 8,
+         "semigroup_samples": 50_000}),
+    "oscillatory-bounds": ({"dims": (2, 3, 4, 5, 6), "count": 200,
+                            "oracle_count": 10},
+                           {"dims": (2, 3, 4), "count": 30,
+                            "oracle_count": 5}),
+    "multiplier-profile": ({"n_oracle": 10, "dims": (1, 2, 3, 4),
+                            "per_dim": 13, "n_env": 60},
+                           {"n_oracle": 4, "per_dim": 3, "n_env": 20}),
+    "log-growth": ({"d_list": (1, 2, 4, 8, 16), "budget": 1000,
+                    "ind_dims": (2, 4, 8, 16), "per_dim": 100},
+                   {"d_list": (1, 2, 4, 8), "budget": 120,
+                    "ind_dims": (2, 4, 8), "per_dim": 20}),
+    "maxop-reductions": ({"dims": (1, 2), "mc": 2000, "small_grids": False},
+                         {"mc": 500, "small_grids": True}),
+}
+
+
+def preset(name: str, quick: bool) -> dict:
+    """The parameters criterion `name` runs with in quick or full mode."""
+    full, quick_changes = PRESETS[name]
+    return {**full, **quick_changes} if quick else dict(full)
+
+
+def _at_preset(name: str, experiment):
+    def criterion(seed: int = 0, quick: bool = False) -> CriterionResult:
+        return experiment(seed, **preset(name, quick))
+    criterion.__doc__ = experiment.__doc__
+    return criterion
+
+
+criterion_norm_axioms = _at_preset("norm-axioms", norm_axioms)
+criterion_closed_forms = _at_preset("closed-form-oracles", closed_forms)
+criterion_kernel_certification = _at_preset("kernel-certification",
+                                            kernel_certification)
+criterion_oscillatory_corpus = _at_preset("oscillatory-bounds",
+                                          oscillatory_corpus)
+criterion_multiplier_profile = _at_preset("multiplier-profile",
+                                          multiplier_profile)
+criterion_log_growth = _at_preset("log-growth", log_growth)
+criterion_maxop_reductions = _at_preset("maxop-reductions", maxop_reductions)
+
+
 _CRITERIA = (
     (1, "norm-axioms", criterion_norm_axioms),
     (2, "closed-form-oracles", criterion_closed_forms),
@@ -505,13 +541,6 @@ _CRITERIA = (
     (8, "maxop-reductions", criterion_maxop_reductions),
     (9, "determinism", criterion_determinism),
 )
-
-
-def run_criterion(number: int, seed: int = 0, quick: bool = False) -> CriterionResult:
-    for num, _, fn in _CRITERIA:
-        if num == number:
-            return fn(seed=seed, quick=quick)
-    raise ValueError(f"no criterion numbered {number}")
 
 
 def run_all(seed: int = 0, quick: bool = False) -> list:

@@ -5,6 +5,8 @@ or to --out, plus a human summary on stderr.  Identical flags and seed give
 byte-identical artifacts apart from the timestamp field.  Reported numbers
 always travel with a tolerance or standard-error column, and the header
 records how per-task random streams derive from the master seed.
+Subcommands named after a criterion run that criterion's experiment from
+``acceptance``; their flags override parameters of its preset.
 """
 
 from __future__ import annotations
@@ -20,25 +22,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .acceptance import jsonable, maxop_cases, run_all
+from .acceptance import (criterion_closed_forms, criterion_subordination,
+                         jsonable, kernel_certification, maxop_reductions,
+                         norm_axioms, oscillatory_corpus, preset, run_all)
 from .curve_measure import (dyadic_phase_size, sigma_decay_envelope,
                             sigma_hat_dyadic, sigma_hat_upper_bound)
-from .grid import from_callable
-from .maxop import sandwich_check, split_check
 from .multiplier import log_growth_experiment, sup_search
-from .norms import (ball_volume, dilate, make_space, polar_integration_check,
-                    quasi_triangle_ratio, rho)
-from .oscillatory import (PhasePoly, QuadratureError, sublevel_measure,
-                          vdc_bound_check, vinogradov_check)
-from .rng import STREAM_CORPUS, STREAM_GRAM, STREAM_KERNEL, substream
-from .stable_poisson import (gram_psd_check, sample_kernel_batch,
-                             semigroup_check, stable_density_1d,
-                             subordination_identity_check)
-
-SEED_DERIVATION = (
-    "rng=numpy Philox; stream(seed,id) keyed [seed,id]; "
-    "substream(seed,id,i) keyed [seed,(id<<32)^i]; ids: ball-volume=1 "
-    "quasi-triangle=2 kernel=3 sup-search=4 maxop=5 corpus=6 gram=7")
+from .norms import ball_volume, make_space, polar_integration_check, rho
+from .oscillatory import QuadratureError
+from .rng import SEED_DERIVATION
 
 
 class ConfigError(Exception):
@@ -92,26 +84,23 @@ def _resolve_seed(ns, cfg):
     return seed
 
 
-def _resolve_quick(ns, cfg) -> bool:
-    return bool(ns.quick or cfg.get("quick", False))
+def _parse_list(text, cast, what: str) -> tuple:
+    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    try:
+        return tuple(cast(t) for t in items)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected comma-separated {what}, got {text!r}")
 
 
 def _parse_int_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    try:
-        return tuple(int(t) for t in str(text).split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+    return _parse_list(text, int, "integers")
 
 
 def _parse_float_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    try:
-        return tuple(float(t) for t in str(text).split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
+    vals = _parse_list(text, float, "numbers")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"expected finite numbers, got {text!r}")
+    return vals
 
 
 def _check_dim(d: int) -> int:
@@ -120,25 +109,24 @@ def _check_dim(d: int) -> int:
     return d
 
 
-def _positive_tol(tol: float) -> float:
-    if not tol > 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+def _check_tol(tol: float, upper: float = math.inf) -> float:
+    if not 0 < tol < upper:
+        raise ConfigError(f"tolerance must lie in (0, {upper}), got {tol}")
     return tol
 
 
 # -- emission ------------------------------------------------------------------
 
 def _csv_cell(v) -> str:
+    v = jsonable(v)
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (list, tuple, dict, np.ndarray)):
-        return json.dumps(jsonable(v), sort_keys=True, separators=(",", ":"))
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, (list, dict)):
+        return json.dumps(v, sort_keys=True, separators=(",", ":"))
     return str(v)
 
 
@@ -199,6 +187,21 @@ def _summary(command: str, rows, failures) -> None:
 
 # -- subcommands -----------------------------------------------------------------
 
+def _criterion_rows(results, label: str = "check"):
+    """One row per criterion result carrying the criterion's own details."""
+    rows, failures = [], []
+    for res in results:
+        rows.append({"criterion": res.number, label: res.name,
+                     "passed": res.passed, "details": res.details})
+        marker = "PASS" if res.passed else "FAIL"
+        print(f"criterion {res.number} {res.name}: {marker} "
+              f"({res.elapsed:.1f} s)", file=sys.stderr)
+        if not res.passed:
+            failures.append(f"criterion {res.number} ({res.name}) failed; "
+                            "see its details row")
+    return rows, failures
+
+
 def cmd_norm_eval(ns, cfg, seed, quick):
     point = _resolve(ns, cfg, "point")
     d = _resolve(ns, cfg, "d", cast=int)
@@ -209,35 +212,17 @@ def cmd_norm_eval(ns, cfg, seed, quick):
             raise ConfigError(f"--d {d} disagrees with --point length {len(vals)}")
         d = len(vals)
     d = _check_dim(2 if d is None else d)
-    space = make_space(d)
-    trials = 2000 if quick else 20000
-    rows, failures = [], []
-
+    params = preset("norm-axioms", quick)
+    params["dims"] = (d,)
+    rows = []
     if vals is not None:
         rows.append({"check": "point-norm", "value": float(rho(vals)),
                      "rel_tol": 1e-15, "passed": True})
-
-    rng = substream(seed, STREAM_CORPUS, 100 + d)
-    x = rng.standard_normal((trials, d)) * 10.0 ** rng.uniform(-6, 6, (trials, 1))
-    s = 10.0 ** rng.uniform(-3, 3, trials)
-    r = rho(x)
-    hom = float(np.max(np.abs(rho(dilate(x, s)) - s * r) / (s * r)))
-    sym = float(np.max(np.abs(rho(-x) - r) / r))
-    quasi = quasi_triangle_ratio(space, trials=trials, seed=seed)
-    rows.append({"check": "homogeneity-max-rel-err", "value": hom,
-                 "rel_tol": 1e-12, "passed": hom <= 1e-12})
-    rows.append({"check": "symmetry-max-rel-err", "value": sym,
-                 "rel_tol": 1e-12, "passed": sym <= 1e-12})
-    rows.append({"check": "quasi-triangle-ratio", "value": quasi,
-                 "limit": 2.0, "passed": quasi <= 2.0})
-    if hom > 1e-12:
-        failures.append(f"homogeneity relative error {hom:.3e} exceeds 1e-12 at d={d}")
-    if sym > 1e-12:
-        failures.append(f"symmetry relative error {sym:.3e} exceeds 1e-12 at d={d}")
-    if quasi > 2.0:
-        failures.append(f"quasi-triangle ratio {quasi:.6f} exceeds 2 at d={d}")
+    crit_rows, failures = _criterion_rows([norm_axioms(seed, **params)])
+    rows += crit_rows
 
     if d <= 2:
+        space = make_space(d)
         pol = polar_integration_check(space, lambda p: np.exp(-rho(p)),
                                       tol=5e-2, grid_n=512 if quick else 1024)
         rows.append({"check": "polar-reconstruction", "value": pol.lhs,
@@ -255,49 +240,20 @@ def cmd_norm_eval(ns, cfg, seed, quick):
         if not ok:
             failures.append(f"unit ball volume {bv.value:.6f} further than "
                             f"4 sigma from {exact:.6f} at d={d}")
-    return rows, {"d": d, "trials": trials}, failures
+    return rows, {"d": d, "trials": params["trials"]}, failures
 
 
 def cmd_osc_corpus(ns, cfg, seed, quick):
-    d_list = _parse_int_list(_resolve(ns, cfg, "d_list", default="2,3,4,5,6"))
-    count = _resolve(ns, cfg, "count", default=30 if quick else 200, cast=int)
-    if count < 1:
+    params = preset("oscillatory-bounds", quick)
+    d_list = _resolve(ns, cfg, "d_list")
+    if d_list is not None:
+        params["dims"] = tuple(map(_check_dim, _parse_int_list(d_list)))
+    params["count"] = _resolve(ns, cfg, "count", default=params["count"],
+                               cast=int)
+    if params["count"] < 1:
         raise ConfigError("count must be >= 1")
-    rows, failures = [], []
-    for d in map(_check_dim, d_list):
-        rng = substream(seed, STREAM_CORPUS, 200 + d)
-        max_vin = max_alt = max_vdc = sub_err = 0.0
-        oracle_count = max(1, min(10, count // 3))
-        for i in range(count):
-            coeffs = (np.sign(rng.standard_normal(d))
-                      * 10.0 ** rng.uniform(-1, 3, d))
-            b0 = rng.uniform(-3.0, 3.0)
-            delta = 10.0 ** rng.uniform(-3, 0)
-            vin = vinogradov_check(PhasePoly(tuple(coeffs), constant=b0),
-                                   -1.0, 1.0, delta)
-            max_vin = max(max_vin, vin.ratio)
-            max_alt = max(max_alt, vin.details["alternate_ratio"])
-            vdc = vdc_bound_check(PhasePoly(tuple(coeffs)), -1.0, 1.0, tol=1e-8)
-            max_vdc = max(max_vdc, vdc.ratio)
-            if i < oracle_count:
-                from .acceptance import _sublevel_root_oracle
-                p = PhasePoly(tuple(coeffs), constant=b0)
-                brute = sublevel_measure(p, -1.0, 1.0, delta,
-                                         grid_points=400_000)
-                sub_err = max(sub_err,
-                              abs(brute - _sublevel_root_oracle(p, -1.0, 1.0,
-                                                                delta)))
-        ok = (math.isfinite(max_vin) and math.isfinite(max_alt)
-              and math.isfinite(max_vdc) and sub_err <= 1e-4)
-        rows.append({"d": d, "vinogradov_max_ratio": max_vin,
-                     "vinogradov_alt_max_ratio": max_alt,
-                     "vdc_max_ratio": max_vdc,
-                     "sublevel_oracle_max_err": sub_err,
-                     "sublevel_tol": 1e-4, "passed": ok})
-        if not ok:
-            failures.append(f"oscillatory corpus bound failed at d={d} "
-                            f"(sublevel err {sub_err:.2e}, tol 1e-4)")
-    return rows, {"count": count}, failures
+    rows, failures = _criterion_rows([oscillatory_corpus(seed, **params)])
+    return rows, {"count": params["count"]}, failures
 
 
 def cmd_sigma_hat(ns, cfg, seed, quick):
@@ -312,7 +268,7 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
     k_hi = _resolve(ns, cfg, "k_hi", default=6, cast=int)
     if k_lo > k_hi:
         raise ConfigError(f"k range [{k_lo}, {k_hi}] is empty")
-    tol = _positive_tol(_resolve(ns, cfg, "tol", default=1e-10, cast=float))
+    tol = _check_tol(_resolve(ns, cfg, "tol", default=1e-10, cast=float))
     rows, failures = [], []
     for k in range(k_lo, k_hi + 1):
         bound = sigma_hat_upper_bound(xi, k)
@@ -341,105 +297,33 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
 
 def cmd_kernel_verify(ns, cfg, seed, quick):
     d = _check_dim(_resolve(ns, cfg, "d", default=2, cast=int))
-    samples = _resolve(ns, cfg, "samples",
-                       default=50_000 if quick else 200_000, cast=int)
+    params = preset("kernel-certification", quick)
+    samples = _resolve(ns, cfg, "samples", default=params["cf_samples"],
+                       cast=int)
     if samples < 1000:
         raise ConfigError("samples must be >= 1000")
-    space = make_space(d)
-    rows, failures = [], []
-
-    min_eig = math.inf
-    n_sets = 5 if quick else 10
-    for i in range(n_sets):
-        rng = substream(seed, STREAM_GRAM, 1000 * d + i)
-        pts = rng.standard_normal((20, d)) * 10.0 ** rng.uniform(-2, 2, (20, 1))
-        min_eig = min(min_eig, gram_psd_check(pts, t=10.0 ** rng.uniform(-1, 1)))
-    rows.append({"check": "gram-min-eigenvalue", "value": min_eig,
-                 "tol": -1e-8, "passed": min_eig >= -1e-8})
-    if min_eig < -1e-8:
-        failures.append(f"Gram matrix not PSD: min eigenvalue {min_eig:.3e}")
-
-    pts, _ = sample_kernel_batch(space, 1.0, samples,
-                                 substream(seed, STREAM_KERNEL, 10 + d))
-    rngf = substream(seed, STREAM_CORPUS, 300 + d)
-    n_freq = 10
-    freqs = np.array([_annulus(rngf, d) for _ in range(n_freq)])
-    target = np.exp(-rho(freqs))
-    phase = pts @ (2.0 * math.pi * freqs.T)
-    c, s = np.cos(phase), np.sin(phase)
-    emp = c.mean(axis=0) + 1j * s.mean(axis=0)
-    se = np.sqrt((c.var(axis=0) + s.var(axis=0)) / samples)
-    gap = np.abs(emp - target)
-    i = int(np.argmax(gap / se))
-    cf_ok = bool(np.all(gap <= 3.0 * se))
-    rows.append({"check": "char-function-worst-gap", "value": float(gap[i]),
-                 "three_sigma": 3.0 * float(se[i]), "passed": cf_ok})
-    if not cf_ok:
-        failures.append(f"characteristic function gap {gap[i]:.4e} exceeds "
-                        f"3 sigma = {3 * se[i]:.4e} at d={d}")
-
-    xis = [_annulus(rngf, d) for _ in range(3)]
-    semi = semigroup_check(0.7, 1.3, xis, n_samples=min(samples, 200_000),
-                           seed=seed)
-    rows.append({"check": "semigroup-fourier-gap", "value": semi.fourier_gap,
-                 "tol": 5e-15, "passed": semi.fourier_gap <= 5e-15})
-    rows.append({"check": "semigroup-sample-gap", "value": semi.sample_gap,
-                 "three_sigma": 3.0 * semi.sample_sigma, "passed": semi.passed})
-    if not semi.passed:
-        failures.append("convolution semigroup identity violated "
-                        f"(fourier gap {semi.fourier_gap:.2e}, sample gap "
-                        f"{semi.sample_gap:.2e} vs 3 sigma "
-                        f"{3 * semi.sample_sigma:.2e})")
-
-    worst_sub = 0.0
-    for x in (0.5, 1.0, 4.0):
-        for gamma in (0.25, 0.5, 0.75):
-            res = subordination_identity_check(x, gamma, tol=1e-9)
-            worst_sub = max(worst_sub, abs(res.lhs - res.rhs) / abs(res.lhs))
-    rows.append({"check": "subordination-max-rel-err", "value": worst_sub,
-                 "tol": 1e-6, "passed": worst_sub <= 1e-6})
-    if worst_sub > 1e-6:
-        failures.append(f"subordination identity off by {worst_sub:.2e} "
-                        "relative (tol 1e-6)")
-
-    rng = substream(seed, STREAM_CORPUS, 2)
-    err_c = err_g = 0.0
-    for x in rng.uniform(-3.0, 3.0, 10 if quick else 20):
-        err_c = max(err_c, abs(stable_density_1d(1.0, x, tol=1e-9)
-                               - 2.0 / (1.0 + 4.0 * math.pi**2 * x**2)))
-        err_g = max(err_g, abs(stable_density_1d(2.0, x, tol=1e-9)
-                               - math.sqrt(math.pi)
-                               * math.exp(-math.pi**2 * x**2)))
-    rows.append({"check": "cauchy-density-max-err", "value": err_c,
-                 "tol": 1e-6, "passed": err_c <= 1e-6})
-    rows.append({"check": "gauss-density-max-err", "value": err_g,
-                 "tol": 1e-6, "passed": err_g <= 1e-6})
-    if err_c > 1e-6 or err_g > 1e-6:
-        failures.append("closed-form density mismatch beyond 1e-6")
+    params.update(gram_dims=(d,), cf_dims=(d,), cf_samples=samples)
+    rows, failures = _criterion_rows([
+        criterion_closed_forms(seed, quick),
+        kernel_certification(seed, **params),
+        criterion_subordination(seed, quick)])
     return rows, {"d": d, "samples": samples}, failures
 
 
-def _annulus(rng, d, lo=0.25, hi=2.5):
-    v = rng.standard_normal(d)
-    while not np.any(v):
-        v = rng.standard_normal(d)
-    return dilate(v, rng.uniform(lo, hi) / float(rho(v)))
-
-
-def _growth_rows(table):
-    return [{"d": row.d, "sup_estimate": row.sup_estimate,
-             "tail_bound": row.tail_bound, "evals": row.evals,
-             "seed": row.seed, "argmax": list(row.argmax),
-             "g_lower": row.g_lower} for row in table.rows]
+def _search_settings(ns, cfg, quick):
+    """Budget and profile tolerance of the sup searches, as in criterion 7."""
+    budget = _resolve(ns, cfg, "budget",
+                      default=preset("log-growth", quick)["budget"], cast=int)
+    if budget < 4:
+        raise ConfigError("budget must be >= 4")
+    # g_profile accepts tolerances in (0, 1)
+    tol = _check_tol(_resolve(ns, cfg, "tol", default=2e-3, cast=float), 1.0)
+    return budget, tol
 
 
 def cmd_multiplier_sup(ns, cfg, seed, quick):
     d = _check_dim(_resolve(ns, cfg, "d", default=2, cast=int))
-    budget = _resolve(ns, cfg, "budget", default=120 if quick else 1000,
-                      cast=int)
-    if budget < 4:
-        raise ConfigError("budget must be >= 4")
-    tol = _positive_tol(_resolve(ns, cfg, "tol", default=2e-3, cast=float))
+    budget, tol = _search_settings(ns, cfg, quick)
     row = sup_search(d, budget=budget, seed=seed, tol=tol)
     ok = math.isfinite(row.sup_estimate) and row.g_lower <= row.sup_estimate
     rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
@@ -451,16 +335,15 @@ def cmd_multiplier_sup(ns, cfg, seed, quick):
 
 
 def cmd_log_growth(ns, cfg, seed, quick):
-    default_list = "1,2,4,8" if quick else "1,2,4,8,16"
-    d_list = tuple(map(_check_dim, _parse_int_list(
-        _resolve(ns, cfg, "d_list", default=default_list))))
-    budget = _resolve(ns, cfg, "budget", default=120 if quick else 1000,
-                      cast=int)
-    if budget < 4:
-        raise ConfigError("budget must be >= 4")
-    tol = _positive_tol(_resolve(ns, cfg, "tol", default=2e-3, cast=float))
+    d_list = _resolve(ns, cfg, "d_list")
+    d_list = (preset("log-growth", quick)["d_list"] if d_list is None
+              else tuple(map(_check_dim, _parse_int_list(d_list))))
+    budget, tol = _search_settings(ns, cfg, quick)
     table = log_growth_experiment(d_list, budget=budget, seed=seed, tol=tol)
-    rows = _growth_rows(table)
+    rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
+             "tail_bound": row.tail_bound, "evals": row.evals,
+             "seed": row.seed, "argmax": list(row.argmax),
+             "g_lower": row.g_lower} for row in table.rows]
     sups = [r["sup_estimate"] for r in rows]
     failures = []
     if any(b < a for a, b in zip(sups[:-1], sups[1:])):
@@ -473,61 +356,21 @@ def cmd_log_growth(ns, cfg, seed, quick):
 
 
 def cmd_maxop_check(ns, cfg, seed, quick):
+    params = preset("maxop-reductions", quick)
     d = _resolve(ns, cfg, "d", default=1, cast=int)
     if d not in (1, 2):
         raise ConfigError("maxop-check supports --d 1 or 2")
-    mc = _resolve(ns, cfg, "mc", default=500 if quick else 2000, cast=int)
+    mc = _resolve(ns, cfg, "mc", default=params["mc"], cast=int)
     if mc < 100:
         raise ConfigError("mc must be >= 100")
-    rows, failures = [], []
-    for case, fn, mins, maxs, shape, win, radii, t_samples, do_split \
-            in maxop_cases(d, quick):
-        fine = tuple(2 * (s - 1) + 1 for s in shape)
-        f_c = from_callable(fn, mins, maxs, shape)
-        f_f = from_callable(fn, mins, maxs, fine)
-        sc = sandwich_check(f_c, win, radii, t_samples)
-        sf = sandwich_check(f_f, win, radii, t_samples)
-        halved = sf.violation <= 0.5 * sc.violation + 1e-12
-        ok = sc.passed and sf.passed and halved
-        rows.append({"case": case, "check": "sandwich",
-                     "violation_coarse": sc.violation,
-                     "error_coarse": sc.error_bound,
-                     "violation_fine": sf.violation,
-                     "error_fine": sf.error_bound,
-                     "halved": halved, "passed": ok})
-        if not ok:
-            failures.append(f"sandwich inequality violated beyond the "
-                            f"discretization error on case {case} (d={d})")
-        if do_split:
-            pc = split_check(f_c, win, t_samples, mc_samples=mc, seed=seed)
-            pf = split_check(f_f, win, t_samples, mc_samples=mc, seed=seed)
-            halved = pf.violation <= 0.5 * pc.violation + 1e-12
-            ok = pc.passed and pf.passed and halved
-            rows.append({"case": case, "check": "split",
-                         "violation_coarse": pc.violation,
-                         "error_coarse": pc.error_bound,
-                         "violation_fine": pf.violation,
-                         "error_fine": pf.error_bound,
-                         "halved": halved, "passed": ok})
-            if not ok:
-                failures.append(f"split inequality violated beyond the "
-                                f"MC/discretization error on case {case} "
-                                f"(d={d})")
+    params.update(dims=(d,), mc=mc)
+    rows, failures = _criterion_rows([maxop_reductions(seed, **params)])
     return rows, {"d": d, "mc_samples": mc}, failures
 
 
 def cmd_accept(ns, cfg, seed, quick):
-    results = run_all(seed=seed, quick=quick)
-    rows, failures = [], []
-    for res in results:
-        rows.append({"criterion": res.number, "name": res.name,
-                     "passed": res.passed, "details": res.details})
-        marker = "PASS" if res.passed else "FAIL"
-        print(f"criterion {res.number} {res.name}: {marker} "
-              f"({res.elapsed:.1f} s)", file=sys.stderr)
-        if not res.passed:
-            failures.append(f"criterion {res.number} ({res.name}) failed; "
-                            "see its details row")
+    rows, failures = _criterion_rows(run_all(seed=seed, quick=quick),
+                                     label="name")
     return rows, {"quick": quick}, failures
 
 
@@ -587,7 +430,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(ns.config)
         seed = _resolve_seed(ns, cfg)
-        quick = _resolve_quick(ns, cfg)
+        quick = bool(ns.quick or cfg.get("quick", False))
         ns.resolved_format = (ns.format or cfg.get("format")
                               or _DEFAULT_FORMAT[ns.command])
         if ns.resolved_format not in ("csv", "json"):

@@ -66,33 +66,32 @@ def top_index(xi) -> int:
     return int(nz[-1]) + 1 if len(nz) else 0
 
 
-def sigma_hat(xi, tol: float = 1e-10, panel_cap: int = 1 << 20) -> complex:
+def sigma_hat(xi, tol: float = 1e-10) -> complex:
     """Transform of the shell measure: int_{1/2<|t|<=1} e^{-2 pi i xi.curve(t)} dt."""
     xi = np.asarray(xi, dtype=float)
     j_top = top_index(xi)
     if j_top == 0:
         return complex(1.0)
     p = _phase(xi[:j_top])
-    return (osc_integral(p, 0.5, 1.0, tol=0.5 * tol, panel_cap=panel_cap)
-            + osc_integral(p, -1.0, -0.5, tol=0.5 * tol, panel_cap=panel_cap))
+    return (osc_integral(p, 0.5, 1.0, tol=0.5 * tol)
+            + osc_integral(p, -1.0, -0.5, tol=0.5 * tol))
 
 
-def mu_hat(xi, tol: float = 1e-10, panel_cap: int = 1 << 20) -> complex:
+def mu_hat(xi, tol: float = 1e-10) -> complex:
     """Transform of the solid average: (1/2) int_{|t|<=1} e^{-2 pi i xi.curve(t)} dt."""
     xi = np.asarray(xi, dtype=float)
     j_top = top_index(xi)
     if j_top == 0:
         return complex(1.0)
     p = _phase(xi[:j_top])
-    return 0.5 * osc_integral(p, -1.0, 1.0, tol=tol, panel_cap=panel_cap)
+    return 0.5 * osc_integral(p, -1.0, 1.0, tol=tol)
 
 
-def sigma_hat_dyadic(xi, k: int, tol: float = 1e-10,
-                     panel_cap: int = 1 << 20) -> complex:
+def sigma_hat_dyadic(xi, k: int, tol: float = 1e-10) -> complex:
     """sigma_hat at dyadic scale 2^k, i.e. sigma_hat(delta_{2^k} xi)."""
     xi = np.asarray(xi, dtype=float)
     js = np.arange(1, len(xi) + 1, dtype=float)
-    return sigma_hat(xi * 2.0 ** (k * js), tol=tol, panel_cap=panel_cap)
+    return sigma_hat(xi * 2.0 ** (k * js), tol=tol)
 
 
 def sigma_decay_envelope(xi, k: int) -> float:

@@ -27,8 +27,11 @@ import numpy as np
 from .curve_measure import CurveCoeffs, DyadicWindow
 from .grid import GridFunction
 from .norms import make_space
-from .rng import STREAM_MAXOP, stream, substream
+from .rng import family_stream
 from .stable_poisson import sample_kernel_batch
+
+# warn when the curve leaves the grid for more than this share of the nodes
+ESCAPE_WARN_FRACTION = 0.10
 
 
 def _curve_point(t: float, d: int, gamma=None) -> np.ndarray:
@@ -39,7 +42,7 @@ def _curve_point(t: float, d: int, gamma=None) -> np.ndarray:
 
 
 def _average_over(f: GridFunction, ts: np.ndarray, weight: float,
-                  gamma=None, warn_fraction: float = 0.10) -> GridFunction:
+                  gamma=None) -> GridFunction:
     """weight * sum_t f(x - curve(t)) over the nodes ts, with escape warning."""
     acc = np.zeros_like(f.samples)
     half_span = [0.5 * (hi - lo) for lo, hi in zip(f.mins, f.maxs)]
@@ -49,7 +52,7 @@ def _average_over(f: GridFunction, ts: np.ndarray, weight: float,
         if np.any(np.abs(pt) > half_span):
             escaped += 1
         acc += f.shifted(pt)
-    if escaped > warn_fraction * len(ts):
+    if escaped > ESCAPE_WARN_FRACTION * len(ts):
         import warnings
         warnings.warn(f"curve left the grid for {escaped}/{len(ts)} nodes",
                       RuntimeWarning, stacklevel=3)
@@ -172,6 +175,21 @@ class PoissonMax(NamedTuple):
     rel_stderr: float
 
 
+def _poisson_average(f: GridFunction, t: float, mc_samples: int,
+                     rng: np.random.Generator):
+    """Monte Carlo mean of f * P_t over kernel draws, and its standard error."""
+    pts, _ = sample_kernel_batch(make_space(f.d), t, mc_samples, rng)
+    acc = np.zeros_like(f.samples)
+    acc_sq = np.zeros_like(f.samples)
+    for p in pts:
+        shifted = f.shifted(p)
+        acc += shifted
+        acc_sq += shifted * shifted
+    mean = acc / mc_samples
+    var = np.maximum(acc_sq / mc_samples - mean * mean, 0.0)
+    return mean, np.sqrt(var / mc_samples)
+
+
 def poisson_max(f: GridFunction, t_set: Sequence[float], mc_samples: int = 2000,
                 seed: int = 0) -> PoissonMax:
     """sup_t f * P_t by Monte Carlo over kernel draws, one stream per scale.
@@ -183,21 +201,11 @@ def poisson_max(f: GridFunction, t_set: Sequence[float], mc_samples: int = 2000,
     """
     if mc_samples < 100:
         raise ValueError("need at least 100 Monte Carlo samples")
-    space = make_space(f.d)
     out = np.zeros_like(f.samples)
     worst_rel = 0.0
     for idx, t in enumerate(sorted(t_set)):
-        rng = substream(seed, STREAM_MAXOP, idx)
-        pts, _ = sample_kernel_batch(space, t, mc_samples, rng)
-        acc = np.zeros_like(f.samples)
-        acc_sq = np.zeros_like(f.samples)
-        for p in pts:
-            shifted = f.shifted(p)
-            acc += shifted
-            acc_sq += shifted * shifted
-        mean = acc / mc_samples
-        var = np.maximum(acc_sq / mc_samples - mean * mean, 0.0)
-        se = np.sqrt(var / mc_samples)
+        mean, se = _poisson_average(f, t, mc_samples,
+                                    family_stream(seed, "poisson-max", idx))
         peak = float(np.max(mean))
         if peak > 0:
             mask = mean >= 0.5 * peak
@@ -219,23 +227,13 @@ def split_check(f: GridFunction, window: DyadicWindow, t_samples: int = 256,
     window scales; Poisson averages reuse the Monte Carlo machinery with
     3-sigma errors folded into the reported bound.
     """
-    space = make_space(f.d)
     m_dyad = dyadic_max(f, window, t_samples).samples
     sup_poisson = np.zeros_like(f.samples)
     square = np.zeros_like(f.samples)
     mc_err = np.zeros_like(f.samples)
     for idx, k in enumerate(window.ks()):
-        rng = substream(seed, STREAM_MAXOP, 1000 + idx)
-        pts, _ = sample_kernel_batch(space, 2.0**k, mc_samples, rng)
-        acc = np.zeros_like(f.samples)
-        acc_sq = np.zeros_like(f.samples)
-        for p in pts:
-            shifted = f.shifted(p)
-            acc += shifted
-            acc_sq += shifted * shifted
-        mean = acc / mc_samples
-        var = np.maximum(acc_sq / mc_samples - mean * mean, 0.0)
-        se = np.sqrt(var / mc_samples)
+        mean, se = _poisson_average(f, 2.0**k, mc_samples,
+                                    family_stream(seed, "split-check", idx))
         np.maximum(sup_poisson, mean, out=sup_poisson)
         shell = shell_average(f, k, t_samples).samples
         square += (shell - mean) ** 2

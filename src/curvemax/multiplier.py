@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .curve_measure import (DyadicWindow, dyadic_phase_size, sigma_hat_dyadic,
                             sigma_hat_upper_bound, top_index, _kappa)
 from .norms import dilate, rho
 from .oscillatory import QuadratureError
-from .rng import STREAM_SUP_SEARCH, substream
+from .rng import family_stream
 
 _LN2 = math.log(2.0)
 WINDOW_LIMIT = 200
@@ -42,8 +42,13 @@ def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
     return sigma_hat_dyadic(xi, k, tol=tol) - math.exp(-(2.0**k) * rho(xi))
 
 
-def _nu_value(vec, k: int, rho_vec: float, quad_tol: float,
-              practical_cap: int, panel_cap: int = 1 << 20):
+def _poisson_hat(k: int, rho_vec: float) -> float:
+    """exp(-2^k rho), flushed to zero where it underflows."""
+    scale = (2.0**k) * rho_vec
+    return math.exp(-scale) if scale < 700.0 else 0.0
+
+
+def _nu_value(vec, k: int, rho_vec: float, quad_tol: float):
     """One profile entry as (complex value or None, exact flag).
 
     A purely linear phase integrates in closed form, which keeps profile
@@ -52,18 +57,21 @@ def _nu_value(vec, k: int, rho_vec: float, quad_tol: float,
     back to quadrature while the total phase variation stays affordable,
     and None signals the caller to use the certified envelope instead.
     """
-    scale = (2.0**k) * rho_vec
-    p_hat = math.exp(-scale) if scale < 700.0 else 0.0
+    p_hat = _poisson_hat(k, rho_vec)
     if top_index(vec) <= 1:
         eta = (2.0**k) * vec[0]
         return complex(2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat), True
-    if 8.0 * dyadic_phase_size(vec, k) <= practical_cap:
+    if 8.0 * dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP:
         try:
-            return (sigma_hat_dyadic(vec, k, tol=quad_tol,
-                                     panel_cap=panel_cap) - p_hat, False)
+            return sigma_hat_dyadic(vec, k, tol=quad_tol) - p_hat, False
         except QuadratureError:
             return None, False
     return None, False
+
+
+def _envelope(vec, k: int, rho_vec: float) -> float:
+    """Certified upper bound standing in for |nu_hat| out of quadrature reach."""
+    return min(2.0, sigma_hat_upper_bound(vec, k) + _poisson_hat(k, rho_vec))
 
 
 def _lipschitz_coeffs(d: int) -> np.ndarray:
@@ -105,6 +113,25 @@ def _tail_constant(deg: int) -> float:
             * (deg ** (1.0 / (deg + 1.0)) + deg ** (-a_pow)))
 
 
+def _upper_tail_sq(g_decay: float, rho_xi: float, k_last: int) -> float:
+    """Certified bound for sum_{k > k_last} |nu_hat(delta_{2^k} xi)|^2."""
+    b_osc = g_decay * 2.0 ** -(k_last + 1)
+    b_poi = 2.0 ** -(k_last + 1) / rho_xi
+    if b_osc > 1.0 or b_poi > 1.0:
+        return math.inf
+    return (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi)
+
+
+def _window_edge(tail_sq, k: int, step: int, half_target: float,
+                 where: str) -> int:
+    """Step k outward until tail_sq(k), the certified mass beyond it, fits."""
+    while tail_sq(k) > half_target:
+        k += step
+        if step * k > WINDOW_LIMIT:
+            raise RuntimeError(f"window limit reached {where}")
+    return k
+
+
 def _decay_prefactor(xi) -> float:
     """G with |sigma_hat(delta_{2^k} xi)| <= min(1, G 2^{-k}) for all k."""
     xi = np.asarray(xi, dtype=float)
@@ -131,8 +158,7 @@ class MultiplierProfile:
     quad_tol: float
 
 
-def g_profile(xi, tol: float = 1e-3, panel_cap: int = 1 << 20,
-              practical_cap: int = PRACTICAL_PANEL_CAP) -> MultiplierProfile:
+def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
     """Evaluate the profile at one frequency with certified truncation tails."""
     xi = np.asarray(xi, dtype=float)
     rho_xi = float(rho(xi))
@@ -141,28 +167,17 @@ def g_profile(xi, tol: float = 1e-3, panel_cap: int = 1 << 20,
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
 
-    g_decay = _decay_prefactor(xi)
     half_target = 0.5 * tol * tol
     k_center = int(round(-math.log2(rho_xi)))
 
-    k_lo = k_center
-    while (4.0 / 3.0) * _small_scale_bound(xi, k_lo - 1, rho_xi) ** 2 > half_target:
-        k_lo -= 1
-        if k_lo < -WINDOW_LIMIT:
-            raise RuntimeError("window limit reached expanding the lower tail")
+    def lower_tail_sq(k_first: int) -> float:
+        return (4.0 / 3.0) * _small_scale_bound(xi, k_first - 1, rho_xi) ** 2
 
-    def upper_tail_sq(k_last: int) -> float:
-        b_osc = g_decay * 2.0 ** -(k_last + 1)
-        b_poi = 2.0 ** -(k_last + 1) / rho_xi
-        if b_osc > 1.0 or b_poi > 1.0:
-            return math.inf
-        return (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi)
-
-    k_hi = max(k_center, k_lo)
-    while upper_tail_sq(k_hi) > half_target:
-        k_hi += 1
-        if k_hi > WINDOW_LIMIT:
-            raise RuntimeError("window limit reached expanding the upper tail")
+    upper_tail_sq = partial(_upper_tail_sq, _decay_prefactor(xi), rho_xi)
+    k_lo = _window_edge(lower_tail_sq, k_center, -1, half_target,
+                        "expanding the lower tail")
+    k_hi = _window_edge(upper_tail_sq, max(k_center, k_lo), 1, half_target,
+                        "expanding the upper tail")
 
     width = k_hi - k_lo + 1
     quad_tol = tol / (8.0 * math.sqrt(width))
@@ -170,19 +185,16 @@ def g_profile(xi, tol: float = 1e-3, panel_cap: int = 1 << 20,
     envelope = []
     lower_sq = 0.0
     for i, k in enumerate(range(k_lo, k_hi + 1)):
-        z, exact = _nu_value(xi, k, rho_xi, quad_tol, practical_cap, panel_cap)
+        z, exact = _nu_value(xi, k, rho_xi, quad_tol)
         if z is not None:
             val = abs(z)
             values[i] = val
             lower_sq += (val if exact else max(val - quad_tol, 0.0)) ** 2
         else:
-            scale = (2.0**k) * rho_xi
-            p_hat = math.exp(-scale) if scale < 700.0 else 0.0
-            values[i] = min(2.0, sigma_hat_upper_bound(xi, k) + p_hat)
+            values[i] = _envelope(xi, k, rho_xi)
             envelope.append(k)
 
-    tail_sq = ((4.0 / 3.0) * _small_scale_bound(xi, k_lo - 1, rho_xi) ** 2
-               + upper_tail_sq(k_hi))
+    tail_sq = lower_tail_sq(k_lo) + upper_tail_sq(k_hi)
     g_value = float(np.sqrt(np.sum(values**2)))
     return MultiplierProfile(
         xi=tuple(float(v) for v in xi),
@@ -211,8 +223,7 @@ class InductionDiagnostics:
     envelope_ks: tuple
 
 
-def induction_diagnostics(xi, tol: float = 1e-3,
-                          practical_cap: int = PRACTICAL_PANEL_CAP) -> InductionDiagnostics:
+def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     """Split the profile at the top-block threshold scale A.
 
     Far scales (2^k > A) are summed on their own; near scales compare the
@@ -247,59 +258,38 @@ def induction_diagnostics(xi, tol: float = 1e-3,
     half_target = 0.5 * tol * tol
     envelope = []
 
-    def nu_abs(vec, k, rho_vec, quad_tol):
-        z, _ = _nu_value(vec, k, rho_vec, quad_tol, practical_cap)
-        if z is not None:
-            return abs(z), False
-        scale = (2.0**k) * rho_vec
-        p_hat = math.exp(-scale) if scale < 700.0 else 0.0
-        return min(2.0, sigma_hat_upper_bound(vec, k) + p_hat), True
-
     # far piece: k > k_split, upper tail certified as in g_profile
-    g_decay = _decay_prefactor(xi)
-
-    def upper_tail_sq(k_last):
-        b_osc = g_decay * 2.0 ** -(k_last + 1)
-        b_poi = 2.0 ** -(k_last + 1) / rho_xi
-        if b_osc > 1.0 or b_poi > 1.0:
-            return math.inf
-        return (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi)
-
-    k_hi = k_split + 1
-    while upper_tail_sq(k_hi) > half_target:
-        k_hi += 1
-        if k_hi > WINDOW_LIMIT:
-            raise RuntimeError("window limit reached in the far term")
+    far_tail_sq = partial(_upper_tail_sq, _decay_prefactor(xi), rho_xi)
+    k_hi = _window_edge(far_tail_sq, k_split + 1, 1, half_target,
+                        "in the far term")
     quad_tol = tol / (8.0 * math.sqrt(k_hi - k_split))
     far_sq = 0.0
     for k in range(k_split + 1, k_hi + 1):
-        v, env = nu_abs(xi, k, rho_xi, quad_tol)
+        z, _ = _nu_value(xi, k, rho_xi, quad_tol)
+        v = abs(z) if z is not None else _envelope(xi, k, rho_xi)
         far_sq += v * v
-        if env:
+        if z is None:
             envelope.append(k)
 
     # near piece: k <= k_split, difference against the truncated frequency
     gap = rho_xi - rho_y
 
-    def diff_bound(k):
-        osc = _small_scale_bound(xi, k, 0.0, j_lo=half)
-        return osc + (2.0**k) * gap
+    def near_tail_sq(k_first: int) -> float:
+        osc = _small_scale_bound(xi, k_first - 1, 0.0, j_lo=half)
+        return (4.0 / 3.0) * (osc + (2.0 ** (k_first - 1)) * gap) ** 2
 
-    k_lo = k_split
-    while (4.0 / 3.0) * diff_bound(k_lo - 1) ** 2 > half_target:
-        k_lo -= 1
-        if k_lo < -WINDOW_LIMIT:
-            raise RuntimeError("window limit reached in the near term")
+    k_lo = _window_edge(near_tail_sq, k_split, -1, half_target,
+                        "in the near term")
     quad_tol2 = tol / (8.0 * math.sqrt(k_split - k_lo + 1))
     near_sq = 0.0
     for k in range(k_lo, k_split + 1):
-        zx, _ = _nu_value(xi, k, rho_xi, quad_tol2, practical_cap)
-        zy, _ = _nu_value(y, k, rho_y, quad_tol2, practical_cap)
+        zx, _ = _nu_value(xi, k, rho_xi, quad_tol2)
+        zy, _ = _nu_value(y, k, rho_y, quad_tol2)
         if zx is not None and zy is not None:
             w = abs(zx - zy)
         else:
-            vx, _ = nu_abs(xi, k, rho_xi, quad_tol2)
-            vy, _ = nu_abs(y, k, rho_y, quad_tol2)
+            vx = abs(zx) if zx is not None else _envelope(xi, k, rho_xi)
+            vy = abs(zy) if zy is not None else _envelope(y, k, rho_y)
             w = min(4.0, vx + vy)
             envelope.append(k)
         near_sq += w * w
@@ -307,8 +297,8 @@ def induction_diagnostics(xi, tol: float = 1e-3,
     return InductionDiagnostics(
         xi=tuple(xi), y=tuple(y), j_pivot=j_pivot, threshold=threshold,
         term_far=math.sqrt(far_sq), term_near=math.sqrt(near_sq),
-        term_far_tail=math.sqrt(upper_tail_sq(k_hi)),
-        term_near_tail=math.sqrt((4.0 / 3.0) * diff_bound(k_lo - 1) ** 2),
+        term_far_tail=math.sqrt(far_tail_sq(k_hi)),
+        term_near_tail=math.sqrt(near_tail_sq(k_lo)),
         envelope_ks=tuple(envelope),
     )
 
@@ -333,7 +323,7 @@ class GrowthTable:
 
 
 def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
-               extra_starts=(), practical_cap: int = PRACTICAL_PANEL_CAP) -> GrowthRow:
+               extra_starts=()) -> GrowthRow:
     """Deterministic random multistart plus compass refinement for sup g.
 
     Every reported estimate is an evaluation at a concrete frequency, hence a
@@ -343,13 +333,13 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
     """
     if budget < 4:
         raise ValueError("budget too small to search")
-    rng = substream(seed, STREAM_SUP_SEARCH, d)
+    rng = family_stream(seed, "sup-search", d)
     evals = 0
     best = None  # (g_value, xi tuple, profile)
 
     def consider(vec) -> bool:
         nonlocal evals, best
-        prof = g_profile(vec, tol=tol, practical_cap=practical_cap)
+        prof = g_profile(vec, tol=tol)
         evals += 1
         key = (prof.g_value, tuple(-v for v in prof.xi))
         if best is None or key > (best[0].g_value, tuple(-v for v in best[0].xi)):

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .rng import STREAM_BALL_VOLUME, STREAM_QUASI_TRIANGLE, stream
+from .rng import STREAMS, stream
 
 MAX_DIMENSION = 64
 
@@ -84,6 +84,8 @@ def rho(x):
     d = x.shape[-1]
     if d > MAX_DIMENSION:
         raise ValueError(f"dimension {d} exceeds cap {MAX_DIMENSION}")
+    if not np.isfinite(x).all():
+        raise ValueError("coordinates must be finite")
     total = np.zeros(x.shape[:-1], dtype=float)
     for lo, hi, level, js in _blocks(d):
         block = np.abs(x[..., lo:hi])
@@ -131,7 +133,7 @@ def ball_volume(space: ParabolicSpace, r: float, samples: int = 10**6,
         raise ValueError("radius must be positive")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    rng = stream(seed, STREAM_BALL_VOLUME)
+    rng = stream(seed, STREAMS["ball-volume"])
     box = 2.0**space.d * r**space.alpha
     hits = 0
     remaining = samples
@@ -153,7 +155,7 @@ def quasi_triangle_ratio(space: ParabolicSpace, trials: int = 10**5,
     Pairs are drawn with log-uniform relative scales so small-plus-large and
     comparable-size regimes are both explored.
     """
-    rng = stream(seed, STREAM_QUASI_TRIANGLE)
+    rng = stream(seed, STREAMS["quasi-triangle"])
     worst = 0.0
     remaining = trials
     while remaining > 0:
@@ -235,12 +237,11 @@ def polar_integration_check(space: ParabolicSpace,
 
     def both_sides(n_grid, n_rad):
         # Cartesian side
+        xs = (np.arange(n_grid) + 0.5) / n_grid * 2.0 * box_radius - box_radius
         if space.d == 1:
-            xs = (np.arange(n_grid) + 0.5) / n_grid * 2.0 * box_radius - box_radius
             pts = xs[:, None]
             cell = 2.0 * box_radius / n_grid
         else:
-            xs = (np.arange(n_grid) + 0.5) / n_grid * 2.0 * box_radius - box_radius
             ys = ((np.arange(n_grid) + 0.5) / n_grid * 2.0 - 1.0) * box_radius**2
             x1, x2 = np.meshgrid(xs, ys, indexing="ij")
             pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)

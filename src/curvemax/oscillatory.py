@@ -86,6 +86,13 @@ def _panel_values(p: PhasePoly, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
+def _bisect(lo: np.ndarray, hi: np.ndarray, bad: np.ndarray):
+    """Panels with the flagged ones split in half."""
+    mid = 0.5 * (lo[bad] + hi[bad])
+    return (np.concatenate([lo[~bad], lo[bad], mid]),
+            np.concatenate([hi[~bad], mid, hi[bad]]))
+
+
 def osc_integral(p: PhasePoly, a: float, b: float, tol: float = 1e-10,
                  panel_cap: int = 1 << 20) -> complex:
     """Evaluate int_a^b exp(i p(t)) dt to absolute tolerance tol."""
@@ -111,9 +118,7 @@ def osc_integral(p: PhasePoly, a: float, b: float, tol: float = 1e-10,
         if len(lo) + np.count_nonzero(bad) > panel_cap:
             raise QuadratureError(
                 f"panel cap {panel_cap} exceeded splitting phase spans")
-        mid = 0.5 * (lo[bad] + hi[bad])
-        lo = np.concatenate([lo[~bad], lo[bad], mid])
-        hi = np.concatenate([hi[~bad], mid, hi[bad]])
+        lo, hi = _bisect(lo, hi, bad)
     else:
         raise QuadratureError("phase spans failed to contract")
 
@@ -126,9 +131,7 @@ def osc_integral(p: PhasePoly, a: float, b: float, tol: float = 1e-10,
         if len(lo) + np.count_nonzero(bad) > panel_cap:
             raise QuadratureError(
                 f"panel cap {panel_cap} exceeded at error {total_err:.3e}")
-        mid = 0.5 * (lo[bad] + hi[bad])
-        lo = np.concatenate([lo[~bad], lo[bad], mid])
-        hi = np.concatenate([hi[~bad], mid, hi[bad]])
+        lo, hi = _bisect(lo, hi, bad)
     raise QuadratureError("error estimate failed to contract")
 
 

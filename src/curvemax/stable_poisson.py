@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from .norms import dilate, make_space, rho, _blocks
-from .rng import STREAM_GRAM, STREAM_KERNEL, stream
+from .rng import STREAMS, stream
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,6 @@ def sample_positive_stable(gamma: float, rng: np.random.Generator, size=None):
     return (a / w) ** ((1.0 - gamma) / gamma)
 
 
-class KernelSample(NamedTuple):
-    point: np.ndarray
-    subordinators: dict
-
-
 def sample_kernel_batch(space, t: float, n: int,
                         rng: np.random.Generator) -> tuple:
     """n kernel draws at scale t: points (n, d) plus per-level subordinators."""
@@ -136,12 +131,6 @@ def sample_kernel_batch(space, t: float, n: int,
                 y = y * tsub ** (j / 2**block.level)
             x[:, j - 1] = y
     return dilate(x / (2.0 * math.pi), t), subs
-
-
-def sample_kernel(space, t: float, rng: np.random.Generator) -> KernelSample:
-    pts, subs = sample_kernel_batch(space, t, 1, rng)
-    return KernelSample(point=pts[0],
-                        subordinators={k: float(v[0]) for k, v in subs.items()})
 
 
 class CheckResult(NamedTuple):
@@ -216,7 +205,7 @@ def semigroup_check(s: float, t: float, xi, n_samples: int = 200_000,
     fourier_gap = float(np.max(np.abs(np.exp(-s * r) * np.exp(-t * r)
                                       - np.exp(-(s + t) * r))))
 
-    rng = stream(seed, STREAM_KERNEL)
+    rng = stream(seed, STREAMS["kernel"])
     xs, _ = sample_kernel_batch(space, s, n_samples, rng)
     ys, _ = sample_kernel_batch(space, t, n_samples, rng)
     z = xs + ys

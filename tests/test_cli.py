@@ -75,6 +75,14 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     (("norm-eval", "--d", "99", "--quick"), "outside [1, 64]"),
     (("maxop-check", "--mc", "5", "--quick"), "mc must be"),
     (("norm-eval", "--seed", "-3", "--quick"), "seed"),
+    (("sigma-hat", "--xi", "nan,1", "--quick"), "finite"),
+    (("sigma-hat", "--xi", "inf", "--quick"), "finite"),
+    (("norm-eval", "--point", "nan,1", "--quick"), "finite"),
+    (("sigma-hat", "--xi", "0.5", "--tol", "inf", "--quick"), "tolerance"),
+    (("multiplier-sup", "--tol", "inf", "--quick"), "tolerance"),
+    (("multiplier-sup", "--tol", "1", "--quick"), "tolerance"),
+    (("log-growth", "--tol", "nan", "--quick"), "tolerance"),
+    (("log-growth", "--tol", "0", "--quick"), "tolerance"),
 ])
 def test_config_errors_exit_2(capsys, args, fragment):
     code, _, err = run_cli(capsys, *args)

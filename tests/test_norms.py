@@ -44,6 +44,13 @@ def test_extreme_scales_survive():
             2.0 * v, rel=1e-14)
 
 
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0],
+                               [1.0, -np.inf], [[1.0, 2.0], [np.nan, 0.0]]])
+def test_non_finite_coordinates_raise(x):
+    with pytest.raises(ValueError, match="finite"):
+        rho(x)
+
+
 def test_dimension_cap():
     assert rho(np.ones(MAX_DIMENSION)) > 0
     with pytest.raises(ValueError):

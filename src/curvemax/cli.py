@@ -52,6 +52,27 @@ def _load_config(path):
     return cfg
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _convert(val, cast, what: str):
+    """val as a bool, int or float, refusing what the bare cast would coerce.
+
+    bool("no") is True, int(2.7) is 2 and float(True) is 1.0; here only a
+    boolean is a boolean, a boolean is no number, and an integer must be
+    integral.  Strings (flags, the environment) parse as usual.
+    """
+    try:
+        if isinstance(val, bool) != (cast is bool):
+            raise ValueError
+        out = cast(val)
+        if cast is int and isinstance(val, float) and out != val:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be {_KINDS[cast]}, got {val!r}")
+    return out
+
+
 def _resolve(ns, cfg, key, default=None, cast=None):
     """Flag beats config file beats default."""
     val = getattr(ns, key, None)
@@ -59,45 +80,25 @@ def _resolve(ns, cfg, key, default=None, cast=None):
         val = cfg.get(key)
     if val is None:
         return default
-    if cast is not None:
-        try:
-            val = cast(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad value for {key}: {val!r}")
-    return val
+    return val if cast is None else _convert(val, cast, key)
 
 
 def _resolve_seed(ns, cfg):
-    val = ns.seed
-    if val is None:
-        val = cfg.get("seed")
-    if val is None:
-        val = os.environ.get("PARABOLIC_SEED")
-    if val is None:
-        val = 0
-    try:
-        seed = int(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {val!r}")
+    seed = _resolve(ns, cfg, "seed", cast=int)
+    if seed is None:
+        seed = _convert(os.environ.get("PARABOLIC_SEED", 0), int, "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must be a 64-bit unsigned integer")
     return seed
 
 
-def _parse_list(text, cast, what: str) -> tuple:
+def _parse_list(text, cast) -> tuple:
     items = text if isinstance(text, (list, tuple)) else str(text).split(",")
-    try:
-        return tuple(cast(t) for t in items)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected comma-separated {what}, got {text!r}")
-
-
-def _parse_int_list(text) -> tuple:
-    return _parse_list(text, int, "integers")
+    return tuple(_convert(t, cast, f"each entry of {text!r}") for t in items)
 
 
 def _parse_float_list(text) -> tuple:
-    vals = _parse_list(text, float, "numbers")
+    vals = _parse_list(text, float)
     if not all(map(math.isfinite, vals)):
         raise ConfigError(f"expected finite numbers, got {text!r}")
     return vals
@@ -247,7 +248,7 @@ def cmd_osc_corpus(ns, cfg, seed, quick):
     params = preset("oscillatory-bounds", quick)
     d_list = _resolve(ns, cfg, "d_list")
     if d_list is not None:
-        params["dims"] = tuple(map(_check_dim, _parse_int_list(d_list)))
+        params["dims"] = tuple(map(_check_dim, _parse_list(d_list, int)))
     params["count"] = _resolve(ns, cfg, "count", default=params["count"],
                                cast=int)
     if params["count"] < 1:
@@ -337,7 +338,7 @@ def cmd_multiplier_sup(ns, cfg, seed, quick):
 def cmd_log_growth(ns, cfg, seed, quick):
     d_list = _resolve(ns, cfg, "d_list")
     d_list = (preset("log-growth", quick)["d_list"] if d_list is None
-              else tuple(map(_check_dim, _parse_int_list(d_list))))
+              else tuple(map(_check_dim, _parse_list(d_list, int))))
     budget, tol = _search_settings(ns, cfg, quick)
     table = log_growth_experiment(d_list, budget=budget, seed=seed, tol=tol)
     rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
@@ -399,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", default=None)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--quick", action="store_true")
+    common.add_argument("--quick", action="store_true", default=None)
     common.add_argument("--config", default=None)
 
     parser = argparse.ArgumentParser(
@@ -430,7 +431,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(ns.config)
         seed = _resolve_seed(ns, cfg)
-        quick = bool(ns.quick or cfg.get("quick", False))
+        quick = _resolve(ns, cfg, "quick", default=False, cast=bool)
         ns.resolved_format = (ns.format or cfg.get("format")
                               or _DEFAULT_FORMAT[ns.command])
         if ns.resolved_format not in ("csv", "json"):

@@ -79,16 +79,24 @@ class GridFunction:
 
     @staticmethod
     def load(path) -> "GridFunction":
+        """Read a file written by save; ValueError naming the file if malformed."""
         raw = Path(path).read_bytes()
-        nl = raw.index(b"\n")
-        header = json.loads(raw[:nl].decode("ascii"))
-        shape = tuple(header["shape"])
-        data = np.frombuffer(raw[nl + 1:], dtype="<f8", count=int(np.prod(shape)))
-        return GridFunction(
-            mins=tuple(e[0] for e in header["extent"]),
-            steps=tuple(e[2] for e in header["extent"]),
-            samples=data.reshape(shape).copy(),
-        )
+        nl = raw.find(b"\n")
+        try:
+            header = json.loads(raw[:max(nl, 0)].decode("ascii"))
+            shape = tuple(int(n) for n in header["shape"])
+            mins = tuple(e[0] for e in header["extent"])
+            steps = tuple(e[2] for e in header["extent"])
+        except (ValueError, TypeError, KeyError, IndexError) as exc:
+            raise ValueError(f"grid file {path}: bad header ({exc})") from None
+        expected = 8 * int(np.prod(shape))
+        actual = len(raw) - nl - 1
+        if actual != expected:
+            raise ValueError(f"grid file {path}: header shape {list(shape)} "
+                             f"needs {expected} sample bytes, found {actual}")
+        data = np.frombuffer(raw, dtype="<f8", offset=nl + 1)
+        return GridFunction(mins=mins, steps=steps,
+                            samples=data.reshape(shape).copy())
 
 
 def from_callable(fn, mins, maxs, shape) -> GridFunction:

@@ -225,9 +225,10 @@ def split_check(f: GridFunction, window: DyadicWindow, t_samples: int = 256,
 
     The square function sums |shell average - Poisson average|^2 over the
     window scales; Poisson averages reuse the Monte Carlo machinery with
-    3-sigma errors folded into the reported bound.
+    3-sigma errors folded into the reported bound.  The dyadic max is taken
+    over the same shell averages, in window order, as dyadic_max would.
     """
-    m_dyad = dyadic_max(f, window, t_samples).samples
+    m_dyad = np.zeros_like(f.samples)
     sup_poisson = np.zeros_like(f.samples)
     square = np.zeros_like(f.samples)
     mc_err = np.zeros_like(f.samples)
@@ -236,6 +237,7 @@ def split_check(f: GridFunction, window: DyadicWindow, t_samples: int = 256,
                                     family_stream(seed, "split-check", idx))
         np.maximum(sup_poisson, mean, out=sup_poisson)
         shell = shell_average(f, k, t_samples).samples
+        np.maximum(m_dyad, shell, out=m_dyad)
         square += (shell - mean) ** 2
         mc_err += 3.0 * se  # 3-sigma per scale, worst-case accumulation
     rhs = sup_poisson + np.sqrt(square)

@@ -10,17 +10,19 @@ is evaluated over a finite window chosen so both infinite tails carry a
 certificate: near k -> -infinity the small-argument Lipschitz bounds
 |sigma_hat(eta) - 1| <= sum_j L_j |eta_j| and |exp(-rho) - 1| <= rho halve
 from one k to the next, and near k -> +infinity the certified oscillation
-bound and exp(-2^k rho) <= 1/(2^k rho) decay geometrically.  Inside the
-window each term is quadrature when the total phase variation is affordable;
-otherwise the certified upper bound itself is stored and the entry is marked
+bound and exp(-2^k rho) <= 1/(2^k rho) decay geometrically.  Every entry,
+in the profile, in both induction terms and in nu_hat, comes from _entries:
+closed form for a linear phase, quadrature while the total phase variation
+is affordable, and otherwise the certified upper bound itself, marked
 envelope-only, so the reported g never silently drops mass (it may only
 overshoot, and g_lower tracks the quadrature-only certified floor).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -31,15 +33,18 @@ from .norms import dilate, rho
 from .oscillatory import QuadratureError
 from .rng import family_stream
 
-_LN2 = math.log(2.0)
 WINDOW_LIMIT = 200
 PRACTICAL_PANEL_CAP = 1 << 16
 
 
 def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
-    """sigma_hat(delta_{2^k} xi) - exp(-2^k rho(xi))."""
+    """sigma_hat(delta_{2^k} xi) - exp(-2^k rho(xi)); QuadratureError where
+    only the certified envelope reaches."""
     xi = np.asarray(xi, dtype=float)
-    return sigma_hat_dyadic(xi, k, tol=tol) - math.exp(-(2.0**k) * rho(xi))
+    z = complex(_entries(xi, (k,), float(rho(xi)), tol)[0][0])
+    if cmath.isnan(z):
+        raise QuadratureError(f"nu_hat beyond quadrature reach at k = {k}")
+    return z
 
 
 def _poisson_hat(k: int, rho_vec: float) -> float:
@@ -48,30 +53,35 @@ def _poisson_hat(k: int, rho_vec: float) -> float:
     return math.exp(-scale) if scale < 700.0 else 0.0
 
 
-def _nu_value(vec, k: int, rho_vec: float, quad_tol: float):
-    """One profile entry as (complex value or None, exact flag).
+def _entries(vec, ks, rho_vec: float, quad_tol: float):
+    """(values, moduli, exact) of nu_hat(delta_{2^k} vec) for k in ks.
 
-    A purely linear phase integrates in closed form, which keeps profile
-    entries exact at any scale; this is what makes zero-padded frequencies
-    evaluate identically in every ambient dimension.  General phases fall
-    back to quadrature while the total phase variation stays affordable,
-    and None signals the caller to use the certified envelope instead.
+    A purely linear phase integrates in closed form (exact), which keeps
+    entries exact at any scale and zero-padded frequencies identical in
+    every ambient dimension.  General phases use quadrature while the total
+    phase variation stays affordable; elsewhere, or when quadrature fails,
+    the value is nan and the modulus is the certified envelope.
     """
-    p_hat = _poisson_hat(k, rho_vec)
-    if top_index(vec) <= 1:
-        eta = (2.0**k) * vec[0]
-        return complex(2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat), True
-    if 8.0 * dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP:
-        try:
-            return sigma_hat_dyadic(vec, k, tol=quad_tol) - p_hat, False
-        except QuadratureError:
-            return None, False
-    return None, False
-
-
-def _envelope(vec, k: int, rho_vec: float) -> float:
-    """Certified upper bound standing in for |nu_hat| out of quadrature reach."""
-    return min(2.0, sigma_hat_upper_bound(vec, k) + _poisson_hat(k, rho_vec))
+    exact = top_index(vec) <= 1
+    values = np.full(len(ks), np.nan, dtype=complex)
+    mags = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        p_hat = _poisson_hat(k, rho_vec)
+        z = None
+        if exact:
+            eta = (2.0**k) * vec[0]
+            z = complex(2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat)
+        elif 8.0 * dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP:
+            try:
+                z = sigma_hat_dyadic(vec, k, tol=quad_tol) - p_hat
+            except QuadratureError:
+                pass
+        if z is None:
+            mags[i] = min(2.0, sigma_hat_upper_bound(vec, k) + p_hat)
+        else:
+            values[i] = z
+            mags[i] = abs(z)
+    return values, mags, exact
 
 
 def _lipschitz_coeffs(d: int) -> np.ndarray:
@@ -87,16 +97,9 @@ def _small_scale_bound(xi, k: int, rho_xi: float, j_lo: int = 0) -> float:
     between xi and its truncation to the first j_lo coordinates.
     """
     xi = np.asarray(xi, dtype=float)
-    L = _lipschitz_coeffs(len(xi))
-    nz = np.nonzero(xi)[0]
-    nz = nz[nz >= j_lo]
-    total = (2.0**k) * rho_xi
-    if len(nz):
-        logs = np.log(L[nz] * np.abs(xi[nz])) + k * (nz + 1.0) * _LN2
-        if np.max(logs) > 700.0:
-            return math.inf
-        total += float(np.sum(np.exp(logs)))
-    return total
+    weighted = _lipschitz_coeffs(len(xi)) * xi
+    weighted[:j_lo] = 0.0
+    return (2.0**k) * rho_xi + dyadic_phase_size(weighted, k)
 
 
 @lru_cache(maxsize=None)
@@ -122,12 +125,13 @@ def _upper_tail_sq(g_decay: float, rho_xi: float, k_last: int) -> float:
     return (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi)
 
 
-def _window_edge(tail_sq, k: int, step: int, half_target: float,
+def _window_edge(tail_sq, start: int, step: int, half_target: float,
                  where: str) -> int:
-    """Step k outward until tail_sq(k), the certified mass beyond it, fits."""
+    """Step k outward from start until tail_sq(k), the mass beyond it, fits."""
+    k = start
     while tail_sq(k) > half_target:
         k += step
-        if step * k > WINDOW_LIMIT:
+        if step * (k - start) > WINDOW_LIMIT:
             raise RuntimeError(f"window limit reached {where}")
     return k
 
@@ -179,20 +183,13 @@ def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
     k_hi = _window_edge(upper_tail_sq, max(k_center, k_lo), 1, half_target,
                         "expanding the upper tail")
 
-    width = k_hi - k_lo + 1
-    quad_tol = tol / (8.0 * math.sqrt(width))
-    values = np.empty(width)
-    envelope = []
+    ks = range(k_lo, k_hi + 1)
+    quad_tol = tol / (8.0 * math.sqrt(len(ks)))
+    zs, values, exact = _entries(xi, ks, rho_xi, quad_tol)
+    reached = ~np.isnan(zs)
     lower_sq = 0.0
-    for i, k in enumerate(range(k_lo, k_hi + 1)):
-        z, exact = _nu_value(xi, k, rho_xi, quad_tol)
-        if z is not None:
-            val = abs(z)
-            values[i] = val
-            lower_sq += (val if exact else max(val - quad_tol, 0.0)) ** 2
-        else:
-            values[i] = _envelope(xi, k, rho_xi)
-            envelope.append(k)
+    for val in values[reached].tolist():
+        lower_sq += (val if exact else max(val - quad_tol, 0.0)) ** 2
 
     tail_sq = lower_tail_sq(k_lo) + upper_tail_sq(k_hi)
     g_value = float(np.sqrt(np.sum(values**2)))
@@ -200,7 +197,7 @@ def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
         xi=tuple(float(v) for v in xi),
         window=DyadicWindow(k_lo, k_hi),
         values=tuple(float(v) for v in values),
-        envelope_only=tuple(envelope),
+        envelope_only=tuple(k for k, z in zip(ks, zs) if np.isnan(z)),
         tail_bound=math.sqrt(tail_sq),
         g_value=g_value,
         # summation order can drift a few ulps; a lower bound must not exceed
@@ -256,20 +253,18 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     k_split = math.floor(math.log2(threshold))
 
     half_target = 0.5 * tol * tol
-    envelope = []
 
     # far piece: k > k_split, upper tail certified as in g_profile
     far_tail_sq = partial(_upper_tail_sq, _decay_prefactor(xi), rho_xi)
     k_hi = _window_edge(far_tail_sq, k_split + 1, 1, half_target,
                         "in the far term")
-    quad_tol = tol / (8.0 * math.sqrt(k_hi - k_split))
+    far_ks = range(k_split + 1, k_hi + 1)
+    zs, mags, _ = _entries(xi, far_ks, rho_xi,
+                           tol / (8.0 * math.sqrt(len(far_ks))))
     far_sq = 0.0
-    for k in range(k_split + 1, k_hi + 1):
-        z, _ = _nu_value(xi, k, rho_xi, quad_tol)
-        v = abs(z) if z is not None else _envelope(xi, k, rho_xi)
+    for v in mags.tolist():
         far_sq += v * v
-        if z is None:
-            envelope.append(k)
+    envelope = [k for k, z in zip(far_ks, zs) if np.isnan(z)]
 
     # near piece: k <= k_split, difference against the truncated frequency
     gap = rho_xi - rho_y
@@ -280,18 +275,18 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
 
     k_lo = _window_edge(near_tail_sq, k_split, -1, half_target,
                         "in the near term")
-    quad_tol2 = tol / (8.0 * math.sqrt(k_split - k_lo + 1))
+    near_ks = range(k_lo, k_split + 1)
+    quad_tol = tol / (8.0 * math.sqrt(len(near_ks)))
+    zx, vx, _ = _entries(xi, near_ks, rho_xi, quad_tol)
+    zy, vy, _ = _entries(y, near_ks, rho_y, quad_tol)
     near_sq = 0.0
-    for k in range(k_lo, k_split + 1):
-        zx, _ = _nu_value(xi, k, rho_xi, quad_tol2)
-        zy, _ = _nu_value(y, k, rho_y, quad_tol2)
-        if zx is not None and zy is not None:
-            w = abs(zx - zy)
-        else:
-            vx = abs(zx) if zx is not None else _envelope(xi, k, rho_xi)
-            vy = abs(zy) if zy is not None else _envelope(y, k, rho_y)
-            w = min(4.0, vx + vy)
+    for k, a, b, va, vb in zip(near_ks, zx.tolist(), zy.tolist(),
+                               vx.tolist(), vy.tolist()):
+        if cmath.isnan(a) or cmath.isnan(b):
+            w = min(4.0, va + vb)
             envelope.append(k)
+        else:
+            w = abs(a - b)
         near_sq += w * w
 
     return InductionDiagnostics(

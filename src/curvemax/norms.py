@@ -25,6 +25,9 @@ import numpy as np
 from .rng import STREAMS, stream
 
 MAX_DIMENSION = 64
+# box half-width R and radial bins of polar_integration_check
+POLAR_BOX_RADIUS = 12.0
+POLAR_RADIAL_BINS = 512
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ class PolarCheck:
     disc_error: float
 
 
-def _direction_weights_1d(grid_n: int):
+def _direction_weights_1d():
     # At d = 1 the unit sphere is {+1, -1}, each carrying unit surface weight.
     dirs = np.array([[1.0], [-1.0]])
     return dirs, np.array([1.0, 1.0])
@@ -221,10 +224,7 @@ def _direction_weights_2d(grid_n: int):
 
 def polar_integration_check(space: ParabolicSpace,
                             test_function: Callable[[np.ndarray], np.ndarray],
-                            tol: float,
-                            box_radius: float = 12.0,
-                            grid_n: int = 1024,
-                            radial_bins: int = 512) -> PolarCheck:
+                            tol: float, grid_n: int = 1024) -> PolarCheck:
     """Compare a Cartesian integral with its polar reconstruction (d <= 2).
 
     Left side: midpoint quadrature of f over {rho <= R} inside the box
@@ -234,6 +234,7 @@ def polar_integration_check(space: ParabolicSpace,
     """
     if space.d > 2:
         raise ValueError("polar_integration_check supports d <= 2")
+    box_radius = POLAR_BOX_RADIUS
 
     def both_sides(n_grid, n_rad):
         # Cartesian side
@@ -252,7 +253,7 @@ def polar_integration_check(space: ParabolicSpace,
 
         # Polar side
         if space.d == 1:
-            dirs, weights = _direction_weights_1d(n_grid)
+            dirs, weights = _direction_weights_1d()
         else:
             dirs, weights = _direction_weights_2d(n_grid)
         r_mid = (np.arange(n_rad) + 0.5) / n_rad * box_radius
@@ -266,8 +267,8 @@ def polar_integration_check(space: ParabolicSpace,
         rhs = float(np.sum(shell * r_mid ** (space.alpha - 1) * dr))
         return lhs, rhs
 
-    lhs, rhs = both_sides(grid_n, radial_bins)
-    lhs2, rhs2 = both_sides(grid_n // 2, radial_bins // 2)
+    lhs, rhs = both_sides(grid_n, POLAR_RADIAL_BINS)
+    lhs2, rhs2 = both_sides(grid_n // 2, POLAR_RADIAL_BINS // 2)
     disc = abs(lhs - lhs2) + abs(rhs - rhs2)
     return PolarCheck(passed=abs(lhs - rhs) <= tol + 2.0 * disc,
                       lhs=lhs, rhs=rhs, disc_error=disc)

@@ -6,8 +6,8 @@ each spans less than pi/2 of phase, then apply fixed Gauss-Legendre rules.
 Error is estimated panel-wise by comparing the 16-point and 8-point rules and
 offending panels are split until the global estimate clears the tolerance.
 No Filon-type machinery is needed at desk scale; cost grows linearly with the
-total phase variation, and a configurable panel cap turns runaway requests
-into an explicit failure instead of a silent stall.
+total phase variation, and a fixed panel cap (PANEL_CAP) turns runaway
+requests into an explicit failure instead of a silent stall.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ MAX_DEGREE = 64
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 _CHUNK = 1 << 16
+PANEL_CAP = 1 << 20
 
 
 class QuadratureError(RuntimeError):
@@ -93,8 +94,8 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, bad: np.ndarray):
             np.concatenate([hi[~bad], mid, hi[bad]]))
 
 
-def osc_integral(p: PhasePoly, a: float, b: float, tol: float = 1e-10,
-                 panel_cap: int = 1 << 20) -> complex:
+def osc_integral(p: PhasePoly, a: float, b: float,
+                 tol: float = 1e-10) -> complex:
     """Evaluate int_a^b exp(i p(t)) dt to absolute tolerance tol."""
     if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
         raise ValueError("need finite a < b")
@@ -115,9 +116,9 @@ def osc_integral(p: PhasePoly, a: float, b: float, tol: float = 1e-10,
         bad = span > 0.5 * np.pi
         if not bad.any():
             break
-        if len(lo) + np.count_nonzero(bad) > panel_cap:
+        if len(lo) + np.count_nonzero(bad) > PANEL_CAP:
             raise QuadratureError(
-                f"panel cap {panel_cap} exceeded splitting phase spans")
+                f"panel cap {PANEL_CAP} exceeded splitting phase spans")
         lo, hi = _bisect(lo, hi, bad)
     else:
         raise QuadratureError("phase spans failed to contract")
@@ -128,9 +129,9 @@ def osc_integral(p: PhasePoly, a: float, b: float, tol: float = 1e-10,
         if total_err <= tol:
             return complex(np.sum(vals))
         bad = errs > tol / (2.0 * len(lo))
-        if len(lo) + np.count_nonzero(bad) > panel_cap:
+        if len(lo) + np.count_nonzero(bad) > PANEL_CAP:
             raise QuadratureError(
-                f"panel cap {panel_cap} exceeded at error {total_err:.3e}")
+                f"panel cap {PANEL_CAP} exceeded at error {total_err:.3e}")
         lo, hi = _bisect(lo, hi, bad)
     raise QuadratureError("error estimate failed to contract")
 
@@ -158,14 +159,12 @@ class BoundReport:
 
 
 def vinogradov_check(p: PhasePoly, a: float, b: float, delta: float,
-                     grid_points: int = 10**5,
-                     coeff_range: str = "all") -> BoundReport:
+                     grid_points: int = 10**5) -> BoundReport:
     """Sublevel measure against max(|a|,|b|) (delta / max|b_k|)^{1/d}.
 
-    ``coeff_range`` picks which coefficients enter the max: "all" includes the
-    constant term b_0, "nonconstant" restricts to k >= 1.  Both conventions
-    appear in the source material, so the report carries the alternate ratio
-    in ``details``.
+    The max runs over all coefficients, constant term b_0 included.  The
+    source material also uses the max over k >= 1 only, so the report
+    carries that alternate ratio in ``details``.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -179,8 +178,8 @@ def vinogradov_check(p: PhasePoly, a: float, b: float, delta: float,
             raise ValueError("zero polynomial")
         return outer * (delta / top) ** (1.0 / p.degree)
 
-    primary = rhs(coeff_range == "all")
-    alternate = rhs(coeff_range != "all")
+    primary = rhs(True)
+    alternate = rhs(False)
     return BoundReport(measured=measured, bound_rhs=primary,
                        ratio=measured / primary if primary > 0 else np.inf,
                        details={"alternate_bound": alternate,

@@ -144,3 +144,21 @@ def test_json_meta_carries_resolved_parameters(capsys):
     doc = json.loads(out)
     assert doc["meta"]["budget"] == 60
     assert doc["rows"][0]["d"] == 2
+
+
+@pytest.mark.parametrize("values, args", [
+    ({"d": 2.7, "quick": True}, ("norm-eval",)),
+    ({"d_list": [2.5, 3], "quick": True}, ("osc-corpus",)),
+    ({"count": 3.9, "quick": True}, ("osc-corpus", "--d-list", "2")),
+    ({"seed": 2.5, "quick": True}, ("norm-eval",)),
+    ({"seed": True, "quick": True}, ("norm-eval",)),
+    ({"tol": True}, ("sigma-hat", "--xi", "0.5", "--k-lo", "0", "--k-hi", "0")),
+    ({"quick": "no"}, ("norm-eval", "--d", "1")),
+])
+def test_config_values_are_not_coerced(capsys, tmp_path, values, args):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code, _, err = run_cli(capsys, *args, "--config", str(cfg))
+    assert code == 2
+    assert "config error" in err
+    assert "must be" in err

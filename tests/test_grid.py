@@ -77,3 +77,31 @@ def test_save_load_roundtrip(tmp_path):
     assert g.mins == f.mins
     assert g.steps == f.steps
     np.testing.assert_array_equal(g.samples, f.samples)
+
+
+def saved_grid(tmp_path):
+    f = GridFunction(mins=(0.0, 1.0), steps=(0.5, 0.25), samples=np.ones((3, 4)))
+    path = tmp_path / "grid.bin"
+    f.save(path)
+    return path
+
+
+@pytest.mark.parametrize("cut, found", [(5, 91), (-8, 104)])
+def test_load_rejects_wrong_sample_byte_count(tmp_path, cut, found):
+    # 3 x 4 float64 samples take 96 bytes: a truncated file and trailing bytes
+    path = saved_grid(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-cut] if cut > 0 else raw + b"\0" * -cut)
+    with pytest.raises(ValueError, match=f"needs 96 sample bytes, found {found}") as exc:
+        GridFunction.load(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("header", [b"{not json", b'{"d": 2}', b"[1, 2]", b""])
+def test_load_rejects_bad_header(tmp_path, header):
+    path = saved_grid(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(header + raw[raw.index(b"\n"):])
+    with pytest.raises(ValueError, match="bad header") as exc:
+        GridFunction.load(path)
+    assert str(path) in str(exc.value)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curvemax import maxop
 from curvemax.curve_measure import CurveCoeffs, DyadicWindow, gamma_reduce
 from curvemax.grid import from_callable
 from curvemax.maxop import (continuous_max, curve_average, dyadic_max,
@@ -152,3 +153,16 @@ def test_operator_norm_probe_bounded():
     assert all(0.0 < r <= 2.0 for r in ratios)
     with pytest.raises(ValueError):
         operator_norm_probe([constant_grid(value=0.0)], WINDOW, 128)
+
+
+def test_split_check_computes_each_shell_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return shell_average(*args, **kwargs)
+
+    monkeypatch.setattr(maxop, "shell_average", counting)
+    f = bump_grid(n=33)
+    split_check(f, WINDOW, t_samples=64, mc_samples=100, seed=0)
+    assert calls == list(WINDOW.ks())

@@ -6,6 +6,7 @@ import pytest
 from curvemax.multiplier import (g_profile, induction_diagnostics,
                                  log_growth_experiment, nu_hat, sup_search)
 from curvemax.norms import dilate, rho
+from curvemax.oscillatory import QuadratureError
 
 
 def profile_reference_1d(x, k_lo=-220, k_hi=64):
@@ -113,3 +114,34 @@ def test_induction_terms_bounded_on_sample():
             diag = induction_diagnostics(xi, tol=5e-3)
             assert diag.term_far + diag.term_far_tail < 100.0
             assert diag.term_near + diag.term_near_tail < 100.0
+
+
+@pytest.mark.parametrize("scale", [2.0**190, 2.0**-190, 2.0**-500],
+                         ids=["2^190", "2^-190", "2^-500"])
+def test_window_limit_counts_from_the_window_start(scale):
+    # g is delta_2-invariant, so a power-of-two dilation far from k = 0
+    # must not exhaust the window
+    base = g_profile(np.array([0.7, 1.3]), tol=1e-3)
+    far = g_profile(dilate([0.7, 1.3], scale), tol=1e-3)
+    assert far.g_value == pytest.approx(base.g_value, abs=1e-12)
+    assert len(far.values) == len(base.values)
+
+
+def test_window_limit_at_extreme_magnitudes():
+    tiny = g_profile(np.array([1e-300, 0.0]))
+    assert tiny.g_value == g_profile(np.array([1e-300 * 2.0**997, 0.0])).g_value
+    # this window genuinely spans about 690 scales
+    with pytest.raises(RuntimeError, match="window limit"):
+        g_profile(np.array([1e200, 1.0]))
+
+
+def test_profile_entries_are_nu_hat():
+    xi = np.array([0.9, 0.4])
+    prof = g_profile(xi, tol=1e-3)
+    assert prof.envelope_only
+    for k, val in zip(prof.window.ks(), prof.values):
+        if k in prof.envelope_only:
+            with pytest.raises(QuadratureError):
+                nu_hat(xi, k, tol=prof.quad_tol)
+        else:
+            assert val == abs(nu_hat(xi, k, tol=prof.quad_tol))

@@ -66,7 +66,6 @@ from .oscillatory import (
     vinogradov_check,
 )
 from .stable_poisson import (
-    StableBlock,
     density_1d_check,
     gram_psd_check,
     negative_type_check,
@@ -75,7 +74,6 @@ from .stable_poisson import (
     sample_positive_stable,
     sample_symmetric_stable,
     semigroup_check,
-    stable_blocks,
     stable_density_1d,
     subordination_identity_check,
 )
@@ -99,7 +97,6 @@ __all__ = [
     "PoissonMax",
     "PolarPoint",
     "QuadratureError",
-    "StableBlock",
     "ball_volume",
     "continuous_max",
     "curve_average",
@@ -135,7 +132,6 @@ __all__ = [
     "sigma_hat_dyadic",
     "sigma_hat_upper_bound",
     "split_check",
-    "stable_blocks",
     "stable_density_1d",
     "subordination_identity_check",
     "sublevel_measure",

@@ -29,7 +29,7 @@ from .curve_measure import (dyadic_phase_size, sigma_decay_envelope,
                             sigma_hat_dyadic, sigma_hat_upper_bound)
 from .multiplier import log_growth_experiment, sup_search
 from .norms import ball_volume, make_space, polar_integration_check, rho
-from .oscillatory import QuadratureError
+from .oscillatory import PANEL_CAP, QuadratureError
 from .rng import SEED_DERIVATION
 
 
@@ -275,7 +275,7 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
         bound = sigma_hat_upper_bound(xi, k)
         env = sigma_decay_envelope(xi, k)
         val = None
-        if 8.0 * dyadic_phase_size(xi, k) <= float(1 << 20):
+        if 8.0 * dyadic_phase_size(xi, k) <= PANEL_CAP:
             try:
                 val = sigma_hat_dyadic(xi, k, tol=tol)
             except QuadratureError:

@@ -90,8 +90,7 @@ def mu_hat(xi, tol: float = 1e-10) -> complex:
 def sigma_hat_dyadic(xi, k: int, tol: float = 1e-10) -> complex:
     """sigma_hat at dyadic scale 2^k, i.e. sigma_hat(delta_{2^k} xi)."""
     xi = np.asarray(xi, dtype=float)
-    js = np.arange(1, len(xi) + 1, dtype=float)
-    return sigma_hat(xi * 2.0 ** (k * js), tol=tol)
+    return sigma_hat(np.ldexp(xi, k * np.arange(1, len(xi) + 1)), tol=tol)
 
 
 def sigma_decay_envelope(xi, k: int) -> float:

@@ -1,11 +1,13 @@
 """Maximal averages along the moment curve on sampled grids (d <= 3).
 
-All operators share one primitive: translate the lattice by the curve point
-(t, t^2, ..., t^d) with multilinear interpolation and zero fill, then average
-over quadrature nodes in t.  The continuous maximal function scans a radius
-set, the dyadic one scans shell averages over a window of scales, and the
-Poisson maximal function replaces quadrature with Monte Carlo draws from the
-stable-mixture kernel, since that kernel's heavy tails defeat fixed stencils.
+All operators share one primitive, _translate_sum: the sum of the lattice
+translates f(x - p) over a point set, by multilinear interpolation with zero
+fill.  Curve and shell averages pass the curve points (t, t^2, ..., t^d) at
+midpoint nodes in t; Poisson averages pass draws from the stable-mixture
+kernel, whose heavy tails defeat fixed stencils, and also ask for the sum of
+squares behind their standard error.  Each maximal function is a pointwise max
+of such averages over radii, dyadic shells or Poisson scales.  A general curve
+(gamma_1 t, ..., gamma_d t^d) goes through curve_measure.gamma_reduce.
 
 Two comparison checks accompany the operators.  The sandwich check measures
 how far the dyadic and continuous maxima drift from the two-sided pointwise
@@ -18,13 +20,12 @@ Monte Carlo error estimates, never hidden.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+import warnings
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .curve_measure import CurveCoeffs, DyadicWindow
+from .curve_measure import DyadicWindow
 from .grid import GridFunction
 from .norms import make_space
 from .rng import family_stream
@@ -34,73 +35,74 @@ from .stable_poisson import sample_kernel_batch
 ESCAPE_WARN_FRACTION = 0.10
 
 
-def _curve_point(t: float, d: int, gamma=None) -> np.ndarray:
-    pt = np.asarray(t, dtype=float) ** np.arange(1, d + 1)
-    if gamma is not None:
-        pt = pt * np.asarray(gamma.gamma)
-    return pt
-
-
-def _average_over(f: GridFunction, ts: np.ndarray, weight: float,
-                  gamma=None) -> GridFunction:
-    """weight * sum_t f(x - curve(t)) over the nodes ts, with escape warning."""
+def _translate_sum(f: GridFunction, pts: np.ndarray, squares: bool = False):
+    """(sum_p f(x - p), sum_p f(x - p)^2 or None) over the rows p of pts."""
     acc = np.zeros_like(f.samples)
-    half_span = [0.5 * (hi - lo) for lo, hi in zip(f.mins, f.maxs)]
-    escaped = 0
-    for t in ts:
-        pt = _curve_point(t, f.d, gamma)
-        if np.any(np.abs(pt) > half_span):
-            escaped += 1
-        acc += f.shifted(pt)
+    acc_sq = np.zeros_like(f.samples) if squares else None
+    for p in pts:
+        shifted = f.shifted(p)
+        acc += shifted
+        if squares:
+            acc_sq += shifted * shifted
+    return acc, acc_sq
+
+
+def _average_over(f: GridFunction, t_samples: int, lo: float, hi: float,
+                  mirror: bool = False) -> GridFunction:
+    """Mean of f(x - curve(t)) over the midpoints t of t_samples cells of
+    [lo, hi] (with mirror: of t_samples // 2 cells, and their negatives)."""
+    if t_samples < 64:
+        raise ValueError("need at least 64 quadrature nodes")
+    n = t_samples // 2 if mirror else t_samples
+    ts = lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+    if mirror:
+        ts = np.concatenate([-ts[::-1], ts])
+    pts = ts[:, None] ** np.arange(1, f.d + 1)
+    half_span = [0.5 * (top - bottom) for bottom, top in zip(f.mins, f.maxs)]
+    escaped = int(np.count_nonzero(np.any(np.abs(pts) > half_span, axis=1)))
     if escaped > ESCAPE_WARN_FRACTION * len(ts):
-        import warnings
         warnings.warn(f"curve left the grid for {escaped}/{len(ts)} nodes",
                       RuntimeWarning, stacklevel=3)
-    return f.with_samples(acc * weight)
+    acc, _ = _translate_sum(f, pts)
+    return f.with_samples(acc * (1.0 / len(ts)))
 
 
-def curve_average(f: GridFunction, r: float, t_samples: int = 256,
-                  gamma: CurveCoeffs | None = None) -> GridFunction:
-    """Solid average (1/2r) int_{|t|<=r} f(x - curve(t)) dt by midpoint rule."""
+def curve_average(f: GridFunction, r: float, t_samples: int = 256) -> GridFunction:
+    """Solid average (1/2r) int_{|t|<=r} f(x - curve(t)) dt by midpoint rule
+    on t_samples cells of [-r, r]."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    if t_samples < 64:
-        raise ValueError("need at least 64 quadrature nodes")
-    ts = -r + (np.arange(t_samples) + 0.5) * (2.0 * r / t_samples)
-    return _average_over(f, ts, 1.0 / t_samples, gamma)
+    return _average_over(f, t_samples, -r, r)
 
 
-def shell_average(f: GridFunction, k: int, t_samples: int = 256,
-                  gamma: CurveCoeffs | None = None) -> GridFunction:
-    """Dyadic shell average (1/2^k) int_{2^{k-1}<|t|<=2^k} f(x - curve(t)) dt."""
-    if t_samples < 64:
-        raise ValueError("need at least 64 quadrature nodes")
-    half = t_samples // 2
-    lo, hi = 2.0 ** (k - 1), 2.0**k
-    pos = lo + (np.arange(half) + 0.5) * ((hi - lo) / half)
-    ts = np.concatenate([-pos[::-1], pos])
-    return _average_over(f, ts, 1.0 / (2.0 * half), gamma)
+def shell_average(f: GridFunction, k: int, t_samples: int = 256) -> GridFunction:
+    """Dyadic shell average (1/2^k) int_{2^{k-1}<|t|<=2^k} f(x - curve(t)) dt
+    by midpoint rule on t_samples // 2 cells of each half of the shell."""
+    return _average_over(f, t_samples, 2.0 ** (k - 1), 2.0**k, mirror=True)
 
 
-def dyadic_max(f: GridFunction, window: DyadicWindow, t_samples: int = 256,
-               gamma: CurveCoeffs | None = None) -> GridFunction:
-    """Pointwise max of shell averages over the window of scales."""
+def _pointwise_max(f: GridFunction, layers: Iterable[np.ndarray]) -> GridFunction:
+    """Pointwise max of zero and the sample arrays in layers, in order."""
     out = np.zeros_like(f.samples)
-    for k in window.ks():
-        np.maximum(out, shell_average(f, k, t_samples, gamma).samples, out=out)
+    for layer in layers:
+        np.maximum(out, layer, out=out)
     return f.with_samples(out)
+
+
+def dyadic_max(f: GridFunction, window: DyadicWindow,
+               t_samples: int = 256) -> GridFunction:
+    """Pointwise max of shell averages over the window of scales."""
+    return _pointwise_max(f, (shell_average(f, k, t_samples).samples
+                              for k in window.ks()))
 
 
 def continuous_max(f: GridFunction, radii: Sequence[float],
-                   t_samples: int = 256,
-                   gamma: CurveCoeffs | None = None) -> GridFunction:
+                   t_samples: int = 256) -> GridFunction:
     """Pointwise max of solid averages over the given radius set."""
     if not len(radii):
         raise ValueError("need at least one radius")
-    out = np.zeros_like(f.samples)
-    for r in radii:
-        np.maximum(out, curve_average(f, r, t_samples, gamma).samples, out=out)
-    return f.with_samples(out)
+    return _pointwise_max(f, (curve_average(f, r, t_samples).samples
+                              for r in radii))
 
 
 class ComparisonReport(NamedTuple):
@@ -179,12 +181,7 @@ def _poisson_average(f: GridFunction, t: float, mc_samples: int,
                      rng: np.random.Generator):
     """Monte Carlo mean of f * P_t over kernel draws, and its standard error."""
     pts, _ = sample_kernel_batch(make_space(f.d), t, mc_samples, rng)
-    acc = np.zeros_like(f.samples)
-    acc_sq = np.zeros_like(f.samples)
-    for p in pts:
-        shifted = f.shifted(p)
-        acc += shifted
-        acc_sq += shifted * shifted
+    acc, acc_sq = _translate_sum(f, pts, squares=True)
     mean = acc / mc_samples
     var = np.maximum(acc_sq / mc_samples - mean * mean, 0.0)
     return mean, np.sqrt(var / mc_samples)
@@ -201,22 +198,21 @@ def poisson_max(f: GridFunction, t_set: Sequence[float], mc_samples: int = 2000,
     """
     if mc_samples < 100:
         raise ValueError("need at least 100 Monte Carlo samples")
-    out = np.zeros_like(f.samples)
+    scales = [_poisson_average(f, t, mc_samples,
+                               family_stream(seed, "poisson-max", idx))
+              for idx, t in enumerate(sorted(t_set))]
     worst_rel = 0.0
-    for idx, t in enumerate(sorted(t_set)):
-        mean, se = _poisson_average(f, t, mc_samples,
-                                    family_stream(seed, "poisson-max", idx))
+    for mean, se in scales:
         peak = float(np.max(mean))
         if peak > 0:
             mask = mean >= 0.5 * peak
             worst_rel = max(worst_rel, float(np.max(se[mask] / np.maximum(
                 mean[mask], 1e-300))))
-        np.maximum(out, mean, out=out)
     if worst_rel > 0.10:
-        import warnings
         warnings.warn(f"Monte Carlo relative error {worst_rel:.1%} exceeds 10%",
                       RuntimeWarning, stacklevel=2)
-    return PoissonMax(values=f.with_samples(out), rel_stderr=worst_rel)
+    return PoissonMax(values=_pointwise_max(f, (mean for mean, _ in scales)),
+                      rel_stderr=worst_rel)
 
 
 def split_check(f: GridFunction, window: DyadicWindow, t_samples: int = 256,

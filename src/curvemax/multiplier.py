@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -49,7 +50,7 @@ def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
 
 def _poisson_hat(k: int, rho_vec: float) -> float:
     """exp(-2^k rho), flushed to zero where it underflows."""
-    scale = (2.0**k) * rho_vec
+    scale = math.ldexp(rho_vec, k)
     return math.exp(-scale) if scale < 700.0 else 0.0
 
 
@@ -69,7 +70,7 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
         p_hat = _poisson_hat(k, rho_vec)
         z = None
         if exact:
-            eta = (2.0**k) * vec[0]
+            eta = math.ldexp(vec[0], k)
             z = complex(2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat)
         elif 8.0 * dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP:
             try:
@@ -82,6 +83,21 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
             values[i] = z
             mags[i] = abs(z)
     return values, mags, exact
+
+
+def _normal_frequency(xi) -> np.ndarray:
+    """xi as a float array; ValueError naming the first subnormal coordinate.
+
+    A subnormal xi_j carries fewer significant bits than the certified bounds
+    assume (products such as L_j xi_j round coarsely), and for (xi_1, 0, ...)
+    the decay prefactor 2 / (pi |xi_1|) leaves double range.
+    """
+    xi = np.asarray(xi, dtype=float)
+    for j, v in enumerate(xi.ravel().tolist(), start=1):
+        if 0.0 < abs(v) < sys.float_info.min:
+            raise ValueError(f"xi_{j} = {v:.3g} is subnormal; nonzero "
+                             f"coordinates need |xi_j| >= {sys.float_info.min:.3g}")
+    return xi
 
 
 def _lipschitz_coeffs(d: int) -> np.ndarray:
@@ -99,7 +115,7 @@ def _small_scale_bound(xi, k: int, rho_xi: float, j_lo: int = 0) -> float:
     xi = np.asarray(xi, dtype=float)
     weighted = _lipschitz_coeffs(len(xi)) * xi
     weighted[:j_lo] = 0.0
-    return (2.0**k) * rho_xi + dyadic_phase_size(weighted, k)
+    return math.ldexp(rho_xi, k) + dyadic_phase_size(weighted, k)
 
 
 @lru_cache(maxsize=None)
@@ -118,8 +134,11 @@ def _tail_constant(deg: int) -> float:
 
 def _upper_tail_sq(g_decay: float, rho_xi: float, k_last: int) -> float:
     """Certified bound for sum_{k > k_last} |nu_hat(delta_{2^k} xi)|^2."""
-    b_osc = g_decay * 2.0 ** -(k_last + 1)
-    b_poi = 2.0 ** -(k_last + 1) / rho_xi
+    try:
+        b_osc = math.ldexp(g_decay, -(k_last + 1))
+    except OverflowError:
+        return math.inf
+    b_poi = 1.0 / math.ldexp(rho_xi, k_last + 1)
     if b_osc > 1.0 or b_poi > 1.0:
         return math.inf
     return (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi)
@@ -164,7 +183,7 @@ class MultiplierProfile:
 
 def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
     """Evaluate the profile at one frequency with certified truncation tails."""
-    xi = np.asarray(xi, dtype=float)
+    xi = _normal_frequency(xi)
     rho_xi = float(rho(xi))
     if not rho_xi > 0.0:
         raise ValueError("profile undefined at the zero frequency")
@@ -228,7 +247,7 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     Both pieces carry certified tails, mirroring the two-term estimate that
     drives the dimensional induction.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _normal_frequency(xi)
     d = len(xi)
     if d < 2 or d & (d - 1):
         raise ValueError("diagnostics need d = 2^n with n >= 1")
@@ -271,7 +290,7 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
 
     def near_tail_sq(k_first: int) -> float:
         osc = _small_scale_bound(xi, k_first - 1, 0.0, j_lo=half)
-        return (4.0 / 3.0) * (osc + (2.0 ** (k_first - 1)) * gap) ** 2
+        return (4.0 / 3.0) * (osc + math.ldexp(gap, k_first - 1)) ** 2
 
     k_lo = _window_edge(near_tail_sq, k_split, -1, half_target,
                         "in the near term")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,28 +25,6 @@ from scipy import integrate
 
 from .norms import dilate, make_space, rho, _blocks
 from .rng import STREAMS, stream
-
-
-@dataclass(frozen=True)
-class StableBlock:
-    """One dyadic block: coordinate indices, stability exponents, subordinator."""
-
-    level: int
-    indices: tuple          # 1-based coordinate indices j in the block
-    betas: tuple            # 2^level / j per coordinate
-    subordinator: float     # 1 / 2^level, or 0 when no subordinator is needed
-
-
-def stable_blocks(space) -> tuple:
-    out = []
-    for lo, hi, level, js in _blocks(space.d):
-        out.append(StableBlock(
-            level=level,
-            indices=tuple(int(j) for j in js),
-            betas=tuple(float(2**level / j) for j in js),
-            subordinator=0.0 if level == 0 else 1.0 / 2**level,
-        ))
-    return tuple(out)
 
 
 def poisson_hat(xi, t: float = 1.0):
@@ -121,14 +98,14 @@ def sample_kernel_batch(space, t: float, n: int,
         raise ValueError("scale must be positive")
     x = np.empty((n, space.d))
     subs = {}
-    for block in stable_blocks(space):
-        if block.subordinator:
-            tsub = sample_positive_stable(block.subordinator, rng, size=n)
-            subs[block.level] = tsub
-        for j, beta in zip(block.indices, block.betas):
-            y = sample_symmetric_stable(beta, rng, size=n)
-            if block.subordinator:
-                y = y * tsub ** (j / 2**block.level)
+    for _, _, level, js in _blocks(space.d):
+        if level:
+            tsub = sample_positive_stable(1.0 / 2**level, rng, size=n)
+            subs[level] = tsub
+        for j in js.astype(int).tolist():
+            y = sample_symmetric_stable(2**level / j, rng, size=n)
+            if level:
+                y = y * tsub ** (j / 2**level)
             x[:, j - 1] = y
     return dilate(x / (2.0 * math.pi), t), subs
 

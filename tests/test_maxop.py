@@ -85,13 +85,40 @@ def test_monotone_in_the_data():
                   >= dyadic_max(f, WINDOW, 128).samples - 1e-15)
 
 
+def midpoints(lo, hi, n):
+    edges = np.linspace(lo, hi, n + 1)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def gauss_grid_2d(n=49):
+    return from_callable(
+        lambda p: np.exp(-np.sum((p - [0.1, 0.3]) ** 2, axis=1) / 3.0),
+        (-2.0, -2.0), (2.0, 2.0), (n, n))
+
+
+def test_averages_are_means_of_translates_over_midpoint_nodes():
+    # the contract any faster evaluation of the averages must keep
+    f = gauss_grid_2d(n=33)
+    r, k = 0.75, -1
+    pos = midpoints(2.0 ** (k - 1), 2.0**k, 65)
+    for avg, nodes, reach in (
+            (curve_average(f, r, 70), midpoints(-r, r, 70), r),
+            (shell_average(f, k, 131), np.concatenate([-pos, pos]), 2.0**k)):
+        ref = np.mean([f.shifted((t, t * t)) for t in nodes], axis=0)
+        mask = maxop._interior_mask(f, reach)
+        assert mask.sum() >= 100
+        np.testing.assert_allclose(avg.samples[mask], ref[mask], rtol=1e-13)
+
+
 def test_gamma_conjugation_matches_pullback():
+    # the average along (gamma_1 t, gamma_2 t^2), formed from translates,
+    # equals the moment-curve average of the reduced grid
     gamma = CurveCoeffs((1.5, -0.75))
-    f = from_callable(lambda p: np.exp(-np.sum((p - [0.1, 0.3]) ** 2, axis=1) / 3.0),
-                      (-2.0, -2.0), (2.0, 2.0), (49, 49))
-    lhs = curve_average(f, 0.5, 128, gamma=gamma).samples
-    rhs = curve_average(gamma_reduce(f, gamma), 0.5, 128).samples
-    np.testing.assert_allclose(rhs, np.flip(lhs, axis=1), atol=1e-14)
+    f = gauss_grid_2d()
+    direct = np.mean([f.shifted(np.multiply(gamma.gamma, (t, t * t)))
+                      for t in midpoints(-0.5, 0.5, 128)], axis=0)
+    reduced = curve_average(gamma_reduce(f, gamma), 0.5, 128).samples
+    np.testing.assert_allclose(reduced, np.flip(direct, axis=1), atol=1e-14)
 
 
 def test_sandwich_constant_no_violation():

@@ -130,9 +130,27 @@ def test_window_limit_counts_from_the_window_start(scale):
 def test_window_limit_at_extreme_magnitudes():
     tiny = g_profile(np.array([1e-300, 0.0]))
     assert tiny.g_value == g_profile(np.array([1e-300 * 2.0**997, 0.0])).g_value
-    # this window genuinely spans about 690 scales
-    with pytest.raises(RuntimeError, match="window limit"):
-        g_profile(np.array([1e200, 1.0]))
+    # these windows genuinely span hundreds of scales; for the second,
+    # G 2^{-k} overflows at the window start and must read as an open tail
+    for xi in ([1e200, 1.0], [1e300, 1e-300]):
+        with pytest.raises(RuntimeError, match="window limit"):
+            g_profile(np.array(xi))
+
+
+@pytest.mark.parametrize("xi, m", [([1e-305, 0.0], 1014), ([0.0, 2.3e-308], 511)])
+def test_profile_at_extreme_magnitudes_matches_its_dilation(xi, m):
+    # the window reaches k >= 1024 (xi_1) or 2^{2k} beyond double range
+    # (xi_2), so every 2^k scaling must avoid an overflowing intermediate
+    far = g_profile(np.array(xi))
+    near = g_profile(np.ldexp(xi, m * np.arange(1, 3)))
+    assert 1.0 <= rho(np.array(near.xi)) < 2.0
+    assert abs(far.g_value - near.g_value) <= far.tail_bound + near.tail_bound
+
+
+@pytest.mark.parametrize("xi", [[0.0, 5e-324], [5e-324, 0.0]])
+def test_profile_rejects_subnormal_coordinates(xi):
+    with pytest.raises(ValueError, match="4.94e-324 is subnormal"):
+        g_profile(np.array(xi))
 
 
 def test_profile_entries_are_nu_hat():

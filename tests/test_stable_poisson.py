@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from curvemax.norms import dilate, make_space, rho
+from curvemax.norms import _blocks, dilate, make_space, rho
 from curvemax.rng import stream
 from curvemax.stable_poisson import (density_1d_check, gram_psd_check,
                                      negative_type_check, poisson_hat,
                                      sample_kernel_batch,
                                      sample_positive_stable,
                                      sample_symmetric_stable, semigroup_check,
-                                     stable_blocks, stable_density_1d,
+                                     stable_density_1d,
                                      subordination_identity_check)
 
 
@@ -95,12 +95,14 @@ def test_poisson_hat_properties():
 
 
 def test_stable_blocks_cover_all_indices():
+    # the kernel sampler draws one b_j-stable coordinate per index j of each
+    # block, with b_j = 2^level / j
     for d in (1, 2, 3, 5, 16):
-        blocks = stable_blocks(make_space(d))
-        seen = sorted(j for b in blocks for j in b.indices)
+        blocks = _blocks(d)
+        seen = sorted(int(j) for _, _, _, js in blocks for j in js)
         assert seen == list(range(1, d + 1))
-        for b in blocks:
-            assert all(1.0 <= beta <= 2.0 for beta in b.betas)
+        for _, _, level, js in blocks:
+            assert all(1.0 <= 2**level / j <= 2.0 for j in js)
 
 
 def test_kernel_draws_scale_by_dilation():

@@ -26,7 +26,6 @@ from .maxop import (
     continuous_max,
     curve_average,
     dyadic_max,
-    operator_norm_probe,
     poisson_max,
     sandwich_check,
     shell_average,
@@ -47,11 +46,9 @@ from .norms import (
     MAX_DIMENSION,
     BallVolume,
     ParabolicSpace,
-    PolarPoint,
     ball_volume,
     dilate,
     make_space,
-    polar_decompose,
     polar_integration_check,
     quasi_triangle_ratio,
     rho,
@@ -66,10 +63,7 @@ from .oscillatory import (
     vinogradov_check,
 )
 from .stable_poisson import (
-    density_1d_check,
     gram_psd_check,
-    negative_type_check,
-    poisson_hat,
     sample_kernel_batch,
     sample_positive_stable,
     sample_symmetric_stable,
@@ -95,12 +89,10 @@ __all__ = [
     "ParabolicSpace",
     "PhasePoly",
     "PoissonMax",
-    "PolarPoint",
     "QuadratureError",
     "ball_volume",
     "continuous_max",
     "curve_average",
-    "density_1d_check",
     "dilate",
     "dyadic_max",
     "from_callable",
@@ -111,13 +103,9 @@ __all__ = [
     "log_growth_experiment",
     "make_space",
     "mu_hat",
-    "negative_type_check",
     "nu_hat",
-    "operator_norm_probe",
     "osc_integral",
-    "poisson_hat",
     "poisson_max",
-    "polar_decompose",
     "polar_integration_check",
     "quasi_triangle_ratio",
     "rho",

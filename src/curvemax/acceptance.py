@@ -1,16 +1,16 @@
 """Nine-part acceptance suite shared by the CLI and the test gate.
 
 Each criterion is an experiment function whose explicit parameters set its
-dimensions, counts, budgets and Monte Carlo draws; it returns a
-CriterionResult whose details pair every reported number with its tolerance
-or standard error.  ``PRESETS`` holds two parameter sets per criterion, full
-and quick, and ``criterion_*(seed, quick)`` runs an experiment at one of
-them.  Quick mode shrinks sample counts and budgets but never loosens a
-tolerance or swaps out the logic under test.  The CLI subcommands call the
-same experiment functions, with their flags overriding preset parameters,
-so a subcommand and its criterion report the same numbers.  A fixed seed
-reproduces every number bit for bit; the final criterion checks exactly
-that.
+dimensions, counts, budgets and Monte Carlo draws; it returns (passed,
+details), and the details pair every reported number with its tolerance or
+standard error.  ``CRITERIA`` holds one row per criterion: its number, name,
+experiment and two parameter sets, full and quick.  ``run(name, seed,
+quick, **overrides)`` runs one criterion at a preset, times it and wraps the
+outcome in a CriterionResult.  Quick mode shrinks sample counts and budgets
+but never loosens a tolerance or swaps out the logic under test.  The CLI
+subcommands call ``run`` with their flags as overrides, so a subcommand and
+its criterion report the same numbers.  A fixed seed reproduces every number
+bit for bit; the final criterion checks exactly that.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +35,15 @@ from .rng import family_stream
 from .stable_poisson import (gram_psd_check, sample_kernel_batch,
                              semigroup_check, stable_density_1d,
                              subordination_identity_check)
+
+
+@dataclass(frozen=True)
+class Criterion:
+    number: int
+    name: str
+    experiment: Callable        # (seed, **parameters) -> (passed, details)
+    full: dict                  # parameters of the full preset
+    quick: dict                 # what the quick preset changes
 
 
 @dataclass(frozen=True)
@@ -70,18 +80,10 @@ def _annulus_point(rng: np.random.Generator, d: int,
     return dilate(v, rng.uniform(lo, hi) / float(rho(v)))
 
 
-def _finish(number: int, name: str, passed: bool, details: dict,
-            t0: float) -> CriterionResult:
-    return CriterionResult(number=number, name=name, passed=bool(passed),
-                           details=jsonable(details),
-                           elapsed=time.perf_counter() - t0)
-
-
 # -- criterion 1 -------------------------------------------------------------
 
-def norm_axioms(seed: int, dims, trials: int) -> CriterionResult:
+def norm_axioms(seed: int, dims, trials: int) -> tuple:
     """Homogeneity and symmetry to 1e-12 relative, quasi-triangle ratio <= 2."""
-    t0 = time.perf_counter()
     tol = 1e-12
     per_d = {}
     passed = True
@@ -97,15 +99,13 @@ def norm_axioms(seed: int, dims, trials: int) -> CriterionResult:
         passed = passed and ok
         per_d[d] = {"homogeneity_max": hom, "symmetry_max": sym,
                     "rel_tol": tol, "quasi_ratio": quasi, "quasi_limit": 2.0}
-    return _finish(1, "norm-axioms", passed,
-                   {"trials_per_dim": trials, "per_dimension": per_d}, t0)
+    return passed, {"trials_per_dim": trials, "per_dimension": per_d}
 
 
 # -- criterion 2 -------------------------------------------------------------
 
-def closed_forms(seed: int, n_freq: int, n_pts: int) -> CriterionResult:
+def closed_forms(seed: int, n_freq: int, n_pts: int) -> tuple:
     """Quadrature and density inversion against one-dimensional closed forms."""
-    t0 = time.perf_counter()
     rng = family_stream(seed, "closed-forms", 0)
     xs = np.sign(rng.standard_normal(n_freq)) * 10.0 ** rng.uniform(-2, 1.45, n_freq)
     err_sigma = 0.0
@@ -135,16 +135,15 @@ def closed_forms(seed: int, n_freq: int, n_pts: int) -> CriterionResult:
     }
     passed = (err_sigma <= 1e-9 and err_mu <= 1e-9
               and err_cauchy <= 1e-6 and err_gauss <= 1e-6)
-    return _finish(2, "closed-form-oracles", passed, details, t0)
+    return passed, details
 
 
 # -- criterion 3 -------------------------------------------------------------
 
 def kernel_certification(seed: int, gram_dims, gram_sets: int, cf_dims,
                          cf_samples: int, cf_freqs: int,
-                         semigroup_samples: int) -> CriterionResult:
+                         semigroup_samples: int) -> tuple:
     """Gram positivity, empirical characteristic functions, semigroup law."""
-    t0 = time.perf_counter()
     min_eig = math.inf
     for d in gram_dims:
         for i in range(gram_sets):
@@ -200,14 +199,13 @@ def kernel_certification(seed: int, gram_dims, gram_sets: int, cf_dims,
                                  "three_sigma": 3.0 * semi.sample_sigma},
     }
     passed = gram_ok and cf_ok and semi.passed
-    return _finish(3, "kernel-certification", passed, details, t0)
+    return passed, details
 
 
 # -- criterion 4 -------------------------------------------------------------
 
-def criterion_subordination(seed: int = 0, quick: bool = False) -> CriterionResult:
+def subordination(seed: int) -> tuple:
     """Fractional power identity at a 3 x 3 grid of arguments and exponents."""
-    t0 = time.perf_counter()
     worst = 0.0
     table = {}
     for x in (0.5, 1.0, 4.0):
@@ -218,7 +216,7 @@ def criterion_subordination(seed: int = 0, quick: bool = False) -> CriterionResu
             table[f"x={x},gamma={gamma}"] = rel
     details = {"max_rel_err": {"value": worst, "tol": 1e-6},
                "per_point_rel_err": table}
-    return _finish(4, "subordination-identity", worst <= 1e-6, details, t0)
+    return worst <= 1e-6, details
 
 
 # -- criterion 5 -------------------------------------------------------------
@@ -242,9 +240,8 @@ def _sublevel_root_oracle(p: PhasePoly, a: float, b: float,
 
 
 def oscillatory_corpus(seed: int, dims, count: int,
-                       oracle_count: int) -> CriterionResult:
+                       oracle_count: int) -> tuple:
     """Random polynomial corpus: both decay bounds and the sublevel oracle."""
-    t0 = time.perf_counter()
     max_vin = 0.0
     max_vin_alt = 0.0
     max_vdc = 0.0
@@ -278,15 +275,23 @@ def oscillatory_corpus(seed: int, dims, count: int,
     }
     passed = (math.isfinite(max_vin) and math.isfinite(max_vin_alt)
               and math.isfinite(max_vdc) and max_sublevel_err <= 1e-4)
-    return _finish(5, "oscillatory-bounds", passed, details, t0)
+    return passed, details
 
 
 # -- criterion 6 -------------------------------------------------------------
 
 def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
-                       n_env: int) -> CriterionResult:
-    """Profile vs direct summation, dyadic invariance, base-case envelope."""
-    t0 = time.perf_counter()
+                       n_env: int) -> tuple:
+    """Profile vs direct summation, dyadic invariance, base-case envelope.
+
+    The envelope constant is max |nu_hat(eta)| / min(eta, 1/eta) for d = 1,
+    and the profile's own certified bounds cap it.  For eta <= 1,
+    |sigma_hat(eta) - 1| <= L_1 eta with L_1 = _lipschitz_coeffs(1) = 3 pi/2,
+    and |e^-eta - 1| <= eta, so the ratio is at most 1 + 3 pi/2.  For
+    eta >= 1, |sigma_hat(eta)| <= _decay_prefactor((eta,)) = 2 / (pi eta),
+    and e^-eta <= 1 / (e eta), so the ratio is at most 2/pi + 1/e.  The gate
+    is the larger, 1 + 3 pi/2 ~ 5.712.
+    """
     rng = family_stream(seed, "profile-oracle", 0)
 
     max_oracle_err = 0.0
@@ -321,7 +326,8 @@ def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
     for eta in etas:
         ratio = abs(nu_hat((float(eta),), 0, tol=1e-9)) / min(eta, 1.0 / eta)
         env_const = max(env_const, ratio)
-    env_ok = math.isfinite(env_const) and env_const < 100.0
+    env_limit = 1.0 + 1.5 * math.pi  # max(1 + 3 pi / 2, 2 / pi + 1 / e)
+    env_ok = env_const <= env_limit
 
     details = {
         "summation_oracle_max_err": {"value": max_oracle_err, "tol": 1e-6},
@@ -329,18 +335,17 @@ def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
         "dyadic_invariance_worst": worst_inv,
         "invariance_points_per_dim": per_dim,
         "base_case_envelope_constant": {"value": env_const,
+                                        "limit": env_limit,
                                         "grid_points": n_env},
     }
-    return _finish(6, "multiplier-profile", oracle_ok and inv_ok and env_ok,
-                   details, t0)
+    return oracle_ok and inv_ok and env_ok, details
 
 
 # -- criterion 7 -------------------------------------------------------------
 
 def log_growth(seed: int, d_list, budget: int, ind_dims,
-               per_dim: int) -> CriterionResult:
+               per_dim: int) -> tuple:
     """Monotone sup estimates, bounded ratio to log(d+2), induction terms."""
-    t0 = time.perf_counter()
     table = log_growth_experiment(d_list, budget=budget, seed=seed, tol=2e-3)
     sups = [row.sup_estimate for row in table.rows]
     monotone = all(b >= a for a, b in zip(sups[:-1], sups[1:]))
@@ -371,7 +376,7 @@ def log_growth(seed: int, d_list, budget: int, ind_dims,
         "induction_points_per_dim": per_dim,
     }
     passed = monotone and spread < 3.0 and terms_ok
-    return _finish(7, "log-growth", passed, details, t0)
+    return passed, details
 
 
 # -- criterion 8 -------------------------------------------------------------
@@ -431,9 +436,8 @@ def _refinement(check, f_coarse, f_fine):
 
 
 def maxop_reductions(seed: int, dims, mc: int,
-                     small_grids: bool) -> CriterionResult:
+                     small_grids: bool) -> tuple:
     """Sandwich and split inequalities on grids, with refinement halving."""
-    t0 = time.perf_counter()
     cases = [(d,) + c for d in dims for c in maxop_cases(d, small_grids)]
 
     passed = True
@@ -454,95 +458,77 @@ def maxop_reductions(seed: int, dims, mc: int,
             passed = passed and ok
         rows.append(row)
 
-    return _finish(8, "maxop-reductions", passed,
-                   {"mc_samples": mc, "cases": rows}, t0)
+    return passed, {"mc_samples": mc, "cases": rows}
 
 
 # -- criterion 9 -------------------------------------------------------------
 
-def criterion_determinism(seed: int = 0, quick: bool = True) -> CriterionResult:
+def determinism(seed: int) -> tuple:
     """Two quick runs of criteria 1-8 must serialize identically."""
-    t0 = time.perf_counter()
-    blobs = []
-    for _ in range(2):
-        results = [fn(seed=seed, quick=True) for _, _, fn in _CRITERIA[:8]]
-        blobs.append(json.dumps(
-            [{"number": r.number, "name": r.name, "passed": r.passed,
-              "details": r.details} for r in results],
-            sort_keys=True))
+    runs = [[run(c.name, seed, quick=True) for c in CRITERIA[:8]]
+            for _ in range(2)]
+    blobs = [json.dumps([{"number": r.number, "name": r.name,
+                          "passed": r.passed, "details": r.details}
+                         for r in results], sort_keys=True)
+             for results in runs]
     same = blobs[0] == blobs[1]
     details = {"runs_compared": 2, "identical": same,
                "serialized_bytes": len(blobs[0]),
-               "rerun_passed": all(
-                   json.loads(blobs[0])[i]["passed"] for i in range(8))}
-    return _finish(9, "determinism", same, details, t0)
+               "rerun_passed": all(r.passed for r in runs[0])}
+    return same, details
 
 
-# Parameters of each experiment: the full preset, then what quick changes.
-PRESETS = {
-    "norm-axioms": ({"dims": (1, 2, 3, 4, 8, 16, 32, 64), "trials": 10**4},
-                    {"trials": 1000}),
-    "closed-form-oracles": ({"n_freq": 100, "n_pts": 50},
-                            {"n_freq": 25, "n_pts": 15}),
-    "kernel-certification": (
-        {"gram_dims": (2, 4, 8), "gram_sets": 50, "cf_dims": (1, 2, 4),
-         "cf_samples": 10**6, "cf_freqs": 20, "semigroup_samples": 200_000},
-        {"gram_sets": 10, "cf_samples": 10**5, "cf_freqs": 8,
-         "semigroup_samples": 50_000}),
-    "oscillatory-bounds": ({"dims": (2, 3, 4, 5, 6), "count": 200,
-                            "oracle_count": 10},
-                           {"dims": (2, 3, 4), "count": 30,
-                            "oracle_count": 5}),
-    "multiplier-profile": ({"n_oracle": 10, "dims": (1, 2, 3, 4),
-                            "per_dim": 13, "n_env": 60},
-                           {"n_oracle": 4, "per_dim": 3, "n_env": 20}),
-    "log-growth": ({"d_list": (1, 2, 4, 8, 16), "budget": 1000,
-                    "ind_dims": (2, 4, 8, 16), "per_dim": 100},
-                   {"d_list": (1, 2, 4, 8), "budget": 120,
-                    "ind_dims": (2, 4, 8), "per_dim": 20}),
-    "maxop-reductions": ({"dims": (1, 2), "mc": 2000, "small_grids": False},
-                         {"mc": 500, "small_grids": True}),
-}
+# Each criterion's experiment with its full parameters, then what quick changes.
+CRITERIA = (
+    Criterion(1, "norm-axioms", norm_axioms,
+              {"dims": (1, 2, 3, 4, 8, 16, 32, 64), "trials": 10**4},
+              {"trials": 1000}),
+    Criterion(2, "closed-form-oracles", closed_forms,
+              {"n_freq": 100, "n_pts": 50}, {"n_freq": 25, "n_pts": 15}),
+    Criterion(3, "kernel-certification", kernel_certification,
+              {"gram_dims": (2, 4, 8), "gram_sets": 50, "cf_dims": (1, 2, 4),
+               "cf_samples": 10**6, "cf_freqs": 20,
+               "semigroup_samples": 200_000},
+              {"gram_sets": 10, "cf_samples": 10**5, "cf_freqs": 8,
+               "semigroup_samples": 50_000}),
+    Criterion(4, "subordination-identity", subordination, {}, {}),
+    Criterion(5, "oscillatory-bounds", oscillatory_corpus,
+              {"dims": (2, 3, 4, 5, 6), "count": 200, "oracle_count": 10},
+              {"dims": (2, 3, 4), "count": 30, "oracle_count": 5}),
+    Criterion(6, "multiplier-profile", multiplier_profile,
+              {"n_oracle": 10, "dims": (1, 2, 3, 4), "per_dim": 13,
+               "n_env": 60},
+              {"n_oracle": 4, "per_dim": 3, "n_env": 20}),
+    Criterion(7, "log-growth", log_growth,
+              {"d_list": (1, 2, 4, 8, 16), "budget": 1000,
+               "ind_dims": (2, 4, 8, 16), "per_dim": 100},
+              {"d_list": (1, 2, 4, 8), "budget": 120, "ind_dims": (2, 4, 8),
+               "per_dim": 20}),
+    Criterion(8, "maxop-reductions", maxop_reductions,
+              {"dims": (1, 2), "mc": 2000, "small_grids": False},
+              {"mc": 500, "small_grids": True}),
+    Criterion(9, "determinism", determinism, {}, {}),
+)
 
 
 def preset(name: str, quick: bool) -> dict:
     """The parameters criterion `name` runs with in quick or full mode."""
-    full, quick_changes = PRESETS[name]
-    return {**full, **quick_changes} if quick else dict(full)
+    crit = {c.name: c for c in CRITERIA}[name]
+    return {**crit.full, **crit.quick} if quick else dict(crit.full)
 
 
-def _at_preset(name: str, experiment):
-    def criterion(seed: int = 0, quick: bool = False) -> CriterionResult:
-        return experiment(seed, **preset(name, quick))
-    criterion.__doc__ = experiment.__doc__
-    return criterion
-
-
-criterion_norm_axioms = _at_preset("norm-axioms", norm_axioms)
-criterion_closed_forms = _at_preset("closed-form-oracles", closed_forms)
-criterion_kernel_certification = _at_preset("kernel-certification",
-                                            kernel_certification)
-criterion_oscillatory_corpus = _at_preset("oscillatory-bounds",
-                                          oscillatory_corpus)
-criterion_multiplier_profile = _at_preset("multiplier-profile",
-                                          multiplier_profile)
-criterion_log_growth = _at_preset("log-growth", log_growth)
-criterion_maxop_reductions = _at_preset("maxop-reductions", maxop_reductions)
-
-
-_CRITERIA = (
-    (1, "norm-axioms", criterion_norm_axioms),
-    (2, "closed-form-oracles", criterion_closed_forms),
-    (3, "kernel-certification", criterion_kernel_certification),
-    (4, "subordination-identity", criterion_subordination),
-    (5, "oscillatory-bounds", criterion_oscillatory_corpus),
-    (6, "multiplier-profile", criterion_multiplier_profile),
-    (7, "log-growth", criterion_log_growth),
-    (8, "maxop-reductions", criterion_maxop_reductions),
-    (9, "determinism", criterion_determinism),
-)
+def run(name: str, seed: int = 0, quick: bool = False,
+        **overrides) -> CriterionResult:
+    """Criterion `name` at its quick or full preset, overrides applied."""
+    crit = {c.name: c for c in CRITERIA}[name]
+    t0 = time.perf_counter()
+    passed, details = crit.experiment(seed, **{**preset(name, quick),
+                                               **overrides})
+    return CriterionResult(number=crit.number, name=crit.name,
+                           passed=bool(passed), details=jsonable(details),
+                           elapsed=time.perf_counter() - t0)
 
 
 def run_all(seed: int = 0, quick: bool = False) -> list:
     """All nine criteria in order; criterion 9 always reruns 1-8 in quick mode."""
-    return [fn(seed=seed, quick=quick) for _, _, fn in _CRITERIA]
+    return [run(c.name, seed, quick) for c in CRITERIA]

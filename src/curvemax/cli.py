@@ -5,8 +5,8 @@ or to --out, plus a human summary on stderr.  Identical flags and seed give
 byte-identical artifacts apart from the timestamp field.  Reported numbers
 always travel with a tolerance or standard-error column, and the header
 records how per-task random streams derive from the master seed.
-Subcommands named after a criterion run that criterion's experiment from
-``acceptance``; their flags override parameters of its preset.
+Subcommands named after a criterion call ``acceptance.run`` on it; their
+flags override parameters of its quick or full preset.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .acceptance import (criterion_closed_forms, criterion_subordination,
-                         jsonable, kernel_certification, maxop_reductions,
-                         norm_axioms, oscillatory_corpus, preset, run_all)
+from .acceptance import jsonable, preset, run, run_all
 from .curve_measure import (dyadic_phase_size, sigma_decay_envelope,
                             sigma_hat_dyadic, sigma_hat_upper_bound)
 from .multiplier import log_growth_experiment, sup_search
-from .norms import ball_volume, make_space, polar_integration_check, rho
+from .norms import (MAX_DIMENSION, ball_volume, make_space,
+                    polar_integration_check, rho)
 from .oscillatory import PANEL_CAP, QuadratureError
 from .rng import SEED_DERIVATION
 
@@ -105,8 +104,8 @@ def _parse_float_list(text) -> tuple:
 
 
 def _check_dim(d: int) -> int:
-    if not 1 <= d <= 64:
-        raise ConfigError(f"dimension {d} outside [1, 64]")
+    if not 1 <= d <= MAX_DIMENSION:
+        raise ConfigError(f"dimension {d} outside [1, {MAX_DIMENSION}]")
     return d
 
 
@@ -213,13 +212,12 @@ def cmd_norm_eval(ns, cfg, seed, quick):
             raise ConfigError(f"--d {d} disagrees with --point length {len(vals)}")
         d = len(vals)
     d = _check_dim(2 if d is None else d)
-    params = preset("norm-axioms", quick)
-    params["dims"] = (d,)
     rows = []
     if vals is not None:
         rows.append({"check": "point-norm", "value": float(rho(vals)),
                      "rel_tol": 1e-15, "passed": True})
-    crit_rows, failures = _criterion_rows([norm_axioms(seed, **params)])
+    crit = run("norm-axioms", seed, quick, dims=(d,))
+    crit_rows, failures = _criterion_rows([crit])
     rows += crit_rows
 
     if d <= 2:
@@ -241,20 +239,21 @@ def cmd_norm_eval(ns, cfg, seed, quick):
         if not ok:
             failures.append(f"unit ball volume {bv.value:.6f} further than "
                             f"4 sigma from {exact:.6f} at d={d}")
-    return rows, {"d": d, "trials": params["trials"]}, failures
+    return rows, {"d": d, "trials": crit.details["trials_per_dim"]}, failures
 
 
 def cmd_osc_corpus(ns, cfg, seed, quick):
-    params = preset("oscillatory-bounds", quick)
+    overrides = {}
     d_list = _resolve(ns, cfg, "d_list")
     if d_list is not None:
-        params["dims"] = tuple(map(_check_dim, _parse_list(d_list, int)))
-    params["count"] = _resolve(ns, cfg, "count", default=params["count"],
-                               cast=int)
-    if params["count"] < 1:
+        overrides["dims"] = tuple(map(_check_dim, _parse_list(d_list, int)))
+    count = _resolve(ns, cfg, "count", cast=int,
+                     default=preset("oscillatory-bounds", quick)["count"])
+    if count < 1:
         raise ConfigError("count must be >= 1")
-    rows, failures = _criterion_rows([oscillatory_corpus(seed, **params)])
-    return rows, {"count": params["count"]}, failures
+    rows, failures = _criterion_rows([
+        run("oscillatory-bounds", seed, quick, count=count, **overrides)])
+    return rows, {"count": count}, failures
 
 
 def cmd_sigma_hat(ns, cfg, seed, quick):
@@ -272,7 +271,10 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
     tol = _check_tol(_resolve(ns, cfg, "tol", default=1e-10, cast=float))
     rows, failures = [], []
     for k in range(k_lo, k_hi + 1):
-        bound = sigma_hat_upper_bound(xi, k)
+        try:
+            bound = sigma_hat_upper_bound(xi, k)
+        except ValueError as exc:
+            raise ConfigError(f"--xi: {exc}")
         env = sigma_decay_envelope(xi, k)
         val = None
         if 8.0 * dyadic_phase_size(xi, k) <= PANEL_CAP:
@@ -298,16 +300,16 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
 
 def cmd_kernel_verify(ns, cfg, seed, quick):
     d = _check_dim(_resolve(ns, cfg, "d", default=2, cast=int))
-    params = preset("kernel-certification", quick)
-    samples = _resolve(ns, cfg, "samples", default=params["cf_samples"],
-                       cast=int)
+    samples = _resolve(
+        ns, cfg, "samples",
+        default=preset("kernel-certification", quick)["cf_samples"], cast=int)
     if samples < 1000:
         raise ConfigError("samples must be >= 1000")
-    params.update(gram_dims=(d,), cf_dims=(d,), cf_samples=samples)
     rows, failures = _criterion_rows([
-        criterion_closed_forms(seed, quick),
-        kernel_certification(seed, **params),
-        criterion_subordination(seed, quick)])
+        run("closed-form-oracles", seed, quick),
+        run("kernel-certification", seed, quick, gram_dims=(d,),
+            cf_dims=(d,), cf_samples=samples),
+        run("subordination-identity", seed, quick)])
     return rows, {"d": d, "samples": samples}, failures
 
 
@@ -357,15 +359,15 @@ def cmd_log_growth(ns, cfg, seed, quick):
 
 
 def cmd_maxop_check(ns, cfg, seed, quick):
-    params = preset("maxop-reductions", quick)
     d = _resolve(ns, cfg, "d", default=1, cast=int)
     if d not in (1, 2):
         raise ConfigError("maxop-check supports --d 1 or 2")
-    mc = _resolve(ns, cfg, "mc", default=params["mc"], cast=int)
+    mc = _resolve(ns, cfg, "mc",
+                  default=preset("maxop-reductions", quick)["mc"], cast=int)
     if mc < 100:
         raise ConfigError("mc must be >= 100")
-    params.update(dims=(d,), mc=mc)
-    rows, failures = _criterion_rows([maxop_reductions(seed, **params)])
+    rows, failures = _criterion_rows([
+        run("maxop-reductions", seed, quick, dims=(d,), mc=mc)])
     return rows, {"d": d, "mc_samples": mc}, failures
 
 

@@ -18,6 +18,7 @@ treatment in any ambient dimension.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,6 +94,21 @@ def sigma_hat_dyadic(xi, k: int, tol: float = 1e-10) -> complex:
     return sigma_hat(np.ldexp(xi, k * np.arange(1, len(xi) + 1)), tol=tol)
 
 
+def _normal_frequency(xi) -> np.ndarray:
+    """xi as a float array; ValueError naming the first subnormal coordinate.
+
+    A subnormal xi_j carries fewer significant bits than the certified bounds
+    assume (products such as L_j xi_j round coarsely), and for (xi_1, 0, ...)
+    the decay prefactor 2 / (pi |xi_1|) leaves double range.
+    """
+    xi = np.asarray(xi, dtype=float)
+    for j, v in enumerate(xi.ravel().tolist(), start=1):
+        if 0.0 < abs(v) < sys.float_info.min:
+            raise ValueError(f"xi_{j} = {v:.3g} is subnormal; nonzero "
+                             f"coordinates need |xi_j| >= {sys.float_info.min:.3g}")
+    return xi
+
+
 def sigma_decay_envelope(xi, k: int) -> float:
     """Heuristic majorant (max_j |xi_j 2^{kj}|)^{-1/d}, computed in logs."""
     xi = np.asarray(xi, dtype=float)
@@ -163,8 +179,10 @@ def _inv_chebyshev(log_x: float, deg: int) -> float:
 
 
 def sigma_hat_upper_bound(xi, k: int) -> float:
-    """Certified bound on |sigma_hat(delta_{2^k} xi)|; always <= 1."""
-    xi = np.asarray(xi, dtype=float)
+    """Certified bound on |sigma_hat(delta_{2^k} xi)|; always <= 1.
+
+    ValueError for a subnormal coordinate, where the bound rounds coarsely."""
+    xi = _normal_frequency(xi)
     j_top = top_index(xi)
     if j_top == 0:
         return 1.0

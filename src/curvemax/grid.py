@@ -49,13 +49,6 @@ class GridFunction:
     def axis(self, i: int) -> np.ndarray:
         return self.mins[i] + self.steps[i] * np.arange(self.samples.shape[i])
 
-    def cell_volume(self) -> float:
-        return float(np.prod(self.steps))
-
-    def l2_norm(self) -> float:
-        """Lattice L2 norm: cell-volume-weighted Euclidean norm of samples."""
-        return float(np.sqrt(self.cell_volume()) * np.linalg.norm(self.samples.ravel()))
-
     def shifted(self, offset) -> np.ndarray:
         """Samples of x -> f(x - offset) by multilinear interpolation, zero-filled."""
         pixels = [o / st for o, st in zip(np.atleast_1d(offset), self.steps)]

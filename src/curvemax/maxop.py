@@ -242,14 +242,3 @@ def split_check(f: GridFunction, window: DyadicWindow, t_samples: int = 256,
     return ComparisonReport(violation=violation, error_bound=err,
                             passed=violation <= err)
 
-
-def operator_norm_probe(f_family: Sequence[GridFunction], window: DyadicWindow,
-                        t_samples: int = 256) -> list:
-    """Rayleigh quotients ||dyadic max f||_2 / ||f||_2 over a family."""
-    out = []
-    for f in f_family:
-        denom = f.l2_norm()
-        if denom == 0:
-            raise ValueError("zero test function")
-        out.append(dyadic_max(f, window, t_samples).l2_norm() / denom)
-    return out

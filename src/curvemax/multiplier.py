@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .curve_measure import (DyadicWindow, dyadic_phase_size, sigma_hat_dyadic,
-                            sigma_hat_upper_bound, top_index, _kappa)
+                            sigma_hat_upper_bound, top_index, _kappa,
+                            _normal_frequency)
 from .norms import dilate, rho
 from .oscillatory import QuadratureError
 from .rng import family_stream
@@ -83,21 +83,6 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
             values[i] = z
             mags[i] = abs(z)
     return values, mags, exact
-
-
-def _normal_frequency(xi) -> np.ndarray:
-    """xi as a float array; ValueError naming the first subnormal coordinate.
-
-    A subnormal xi_j carries fewer significant bits than the certified bounds
-    assume (products such as L_j xi_j round coarsely), and for (xi_1, 0, ...)
-    the decay prefactor 2 / (pi |xi_1|) leaves double range.
-    """
-    xi = np.asarray(xi, dtype=float)
-    for j, v in enumerate(xi.ravel().tolist(), start=1):
-        if 0.0 < abs(v) < sys.float_info.min:
-            raise ValueError(f"xi_{j} = {v:.3g} is subnormal; nonzero "
-                             f"coordinates need |xi_j| >= {sys.float_info.min:.3g}")
-    return xi
 
 
 def _lipschitz_coeffs(d: int) -> np.ndarray:

@@ -66,12 +66,17 @@ def _blocks(d: int):
 def dilate(x, s):
     """Apply the anisotropic dilation: coordinate j scales by s^j.
 
-    Accepts (..., d) arrays; s may broadcast against the leading axes.
+    Accepts (..., d) arrays; s may broadcast against the leading axes.  For
+    a power of two s = 2^m whose powers s^j leave the normal range, exponents
+    scale by m j instead (ldexp), so a zero coordinate stays zero.
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    js = np.arange(1, d + 1, dtype=float)
-    return x * np.asarray(s, dtype=float)[..., None] ** js
+    s = np.asarray(s, dtype=float)[..., None]
+    js = np.arange(1, x.shape[-1] + 1)
+    mant, exp = np.frexp(s)
+    if np.all(mant == 0.5) and np.any(np.abs((exp - 1) * js) > 1022):
+        return np.ldexp(x, (exp - 1) * js)
+    return x * s ** js
 
 
 def rho(x):
@@ -99,22 +104,6 @@ def rho(x):
         inner = np.sum(ratios ** float(2**level), axis=-1)
         total = total + np.where(m > 0.0, m * inner ** (1.0 / 2**level), 0.0)
     return total if total.ndim else float(total)
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Radius rho(x) and the direction delta_{1/rho(x)} x on the unit sphere."""
-
-    direction: np.ndarray
-    radius: float
-
-
-def polar_decompose(x) -> PolarPoint:
-    x = np.asarray(x, dtype=float)
-    r = rho(x)
-    if not r > 0.0:
-        raise ValueError("polar decomposition undefined at the origin")
-    return PolarPoint(direction=dilate(x, 1.0 / r), radius=float(r))
 
 
 class BallVolume(NamedTuple):

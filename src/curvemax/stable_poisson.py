@@ -27,13 +27,6 @@ from .norms import dilate, make_space, rho, _blocks
 from .rng import STREAMS, stream
 
 
-def poisson_hat(xi, t: float = 1.0):
-    """Fourier transform exp(-t rho(xi)); accepts (..., d) batches."""
-    if t <= 0:
-        raise ValueError("scale must be positive")
-    return np.exp(-t * np.asarray(rho(xi)))
-
-
 def stable_density_1d(beta: float, x: float, tol: float = 1e-10) -> float:
     """Density at x of the symmetric law with transform exp(-|xi|^beta).
 
@@ -137,28 +130,11 @@ def subordination_identity_check(x: float, gamma: float,
                        lhs=lhs, rhs=rhs)
 
 
-def pairwise_rho(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    return rho(pts[:, None, :] - pts[None, :, :])
-
-
 def gram_psd_check(points, t: float = 1.0) -> float:
     """Smallest eigenvalue of [exp(-t rho(x_i - x_j))]; PSD up to roundoff."""
-    gram = np.exp(-t * pairwise_rho(points))
+    pts = np.asarray(points, dtype=float)
+    gram = np.exp(-t * rho(pts[:, None, :] - pts[None, :, :]))
     return float(np.linalg.eigvalsh(gram)[0])
-
-
-def negative_type_check(points) -> float:
-    """Largest eigenvalue of the rho-distance matrix on zero-sum vectors.
-
-    Nonpositive (up to roundoff) exactly when rho is of negative type, the
-    dual face of the Gram positivity above.
-    """
-    dist = pairwise_rho(points)
-    m = dist.shape[0]
-    proj = np.eye(m) - np.full((m, m), 1.0 / m)
-    sym = proj @ dist @ proj
-    return float(np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1])
 
 
 class SemigroupReport(NamedTuple):
@@ -197,10 +173,3 @@ def semigroup_check(s: float, t: float, xi, n_samples: int = 200_000,
                            sample_sigma=float(se[worst]),
                            passed=passed)
 
-
-def density_1d_check(x: float, tol: float = 1e-8) -> CheckResult:
-    """Numeric inversion of exp(-|xi|) against the closed form 2/(1+4 pi^2 x^2)."""
-    lhs = stable_density_1d(1.0, x, tol=tol / 2)
-    rhs = 2.0 / (1.0 + 4.0 * math.pi**2 * x**2)
-    return CheckResult(passed=abs(lhs - rhs) <= tol and lhs >= 0.0,
-                       lhs=lhs, rhs=rhs)

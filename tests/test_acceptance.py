@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from curvemax.acceptance import _CRITERIA, jsonable, run_all
+from curvemax import acceptance
+from curvemax.acceptance import CRITERIA, jsonable, run_all
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +20,8 @@ def battery():
 
 
 @pytest.mark.parametrize("number, name",
-                         [(num, name) for num, name, _ in _CRITERIA],
-                         ids=[f"{num}-{name}" for num, name, _ in _CRITERIA])
+                         [(c.number, c.name) for c in CRITERIA],
+                         ids=[f"{c.number}-{c.name}" for c in CRITERIA])
 def test_criterion(battery, number, name):
     result = battery[number]
     assert result.name == name
@@ -31,3 +32,16 @@ def test_criterion(battery, number, name):
 
 def test_battery_is_complete(battery):
     assert sorted(battery) == list(range(1, 10))
+
+
+def test_envelope_gate_catches_an_inflated_nu_hat(monkeypatch):
+    # the base-case envelope constant is certified <= 1 + 3 pi / 2; a nu_hat
+    # three times too large (about 6.7 at the quick preset) must fail it
+    true_nu_hat = acceptance.nu_hat
+    monkeypatch.setattr(acceptance, "nu_hat",
+                        lambda *args, **kwargs: 3.0 * true_nu_hat(*args, **kwargs))
+    res = acceptance.run("multiplier-profile", quick=True, n_oracle=1,
+                         dims=(1,), per_dim=1)
+    env = res.details["base_case_envelope_constant"]
+    assert env["value"] > env["limit"]
+    assert not res.passed

@@ -83,6 +83,9 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     (("multiplier-sup", "--tol", "1", "--quick"), "tolerance"),
     (("log-growth", "--tol", "nan", "--quick"), "tolerance"),
     (("log-growth", "--tol", "0", "--quick"), "tolerance"),
+    # the certified bound would round coarsely there and report PASS
+    (("sigma-hat", "--xi", "0,5e-324", "--k-lo", "540", "--k-hi", "540"),
+     "xi_2 = 4.94e-324 is subnormal"),
 ])
 def test_config_errors_exit_2(capsys, args, fragment):
     code, _, err = run_cli(capsys, *args)

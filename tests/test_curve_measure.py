@@ -75,6 +75,14 @@ def test_certified_bound_majorizes():
         assert val <= min(1.0, bound) + 1e-9
 
 
+@pytest.mark.parametrize("xi", [[0.0, 5e-324], [1e-310, 1.0]])
+def test_certified_bound_rejects_subnormal_coordinates(xi):
+    # at [0, 5e-324] the bound rounded to 0.9320, below the 0.9477 of its
+    # exact dilation [0, 1] at k = 3
+    with pytest.raises(ValueError, match="is subnormal"):
+        sigma_hat_upper_bound(xi, 540)
+
+
 def test_envelope_positive_and_monotone_in_scale():
     xi = np.array([2.0, 1.0])
     envs = [sigma_decay_envelope(xi, k) for k in range(0, 6)]

@@ -61,12 +61,6 @@ def test_whole_cell_shift_is_a_roll():
     np.testing.assert_allclose(shifted[:2], 0.0, atol=0.0)
 
 
-def test_l2_norm_weights_by_cell_volume():
-    f = GridFunction(mins=(0.0, 0.0), steps=(0.5, 0.25),
-                     samples=np.full((4, 4), 2.0))
-    assert f.l2_norm() == pytest.approx(np.sqrt(0.125 * 16 * 4.0))
-
-
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     f = GridFunction(mins=(-1.0, 0.5), steps=(0.1, 0.2),

@@ -7,8 +7,8 @@ from curvemax import maxop
 from curvemax.curve_measure import CurveCoeffs, DyadicWindow, gamma_reduce
 from curvemax.grid import from_callable
 from curvemax.maxop import (continuous_max, curve_average, dyadic_max,
-                            operator_norm_probe, poisson_max, sandwich_check,
-                            shell_average, split_check)
+                            poisson_max, sandwich_check, shell_average,
+                            split_check)
 
 WINDOW = DyadicWindow(-3, 0)
 RADII = 2.0 ** np.linspace(-3, 0, 7)
@@ -171,15 +171,6 @@ def test_poisson_matches_cauchy_convolution():
     est = res.values.samples[mid]
     tail_and_grid = 0.02
     assert abs(est - exact) <= 3.0 * res.rel_stderr * est + tail_and_grid
-
-
-def test_operator_norm_probe_bounded():
-    fam = [bump_grid(), constant_grid(n=129)]
-    ratios = operator_norm_probe(fam, WINDOW, 128)
-    assert len(ratios) == 2
-    assert all(0.0 < r <= 2.0 for r in ratios)
-    with pytest.raises(ValueError):
-        operator_norm_probe([constant_grid(value=0.0)], WINDOW, 128)
 
 
 def test_split_check_computes_each_shell_once(monkeypatch):

@@ -19,7 +19,7 @@ def run_cli(capsys, *args):
 
 def test_osc_corpus_reports_criterion_5(capsys):
     code, doc = run_cli(capsys, "osc-corpus", "--quick", "--d-list", "2,3,4")
-    crit = acceptance.criterion_oscillatory_corpus(seed=0, quick=True)
+    crit = acceptance.run("oscillatory-bounds", seed=0, quick=True)
     assert code == 0
     [row] = doc["rows"]
     assert row["criterion"] == 5
@@ -28,7 +28,7 @@ def test_osc_corpus_reports_criterion_5(capsys):
 
 def test_maxop_check_reports_criterion_8_cases(capsys):
     code, doc = run_cli(capsys, "maxop-check", "--quick", "--d", "1")
-    crit = acceptance.criterion_maxop_reductions(seed=0, quick=True)
+    crit = acceptance.run("maxop-reductions", seed=0, quick=True)
     assert code == 0
     [row] = doc["rows"]
     assert row["details"]["mc_samples"] == crit.details["mc_samples"]

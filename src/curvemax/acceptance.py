@@ -288,9 +288,9 @@ def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
     and the profile's own certified bounds cap it.  For eta <= 1,
     |sigma_hat(eta) - 1| <= L_1 eta with L_1 = _lipschitz_coeffs(1) = 3 pi/2,
     and |e^-eta - 1| <= eta, so the ratio is at most 1 + 3 pi/2.  For
-    eta >= 1, |sigma_hat(eta)| <= _decay_prefactor((eta,)) = 2 / (pi eta),
-    and e^-eta <= 1 / (e eta), so the ratio is at most 2/pi + 1/e.  The gate
-    is the larger, 1 + 3 pi/2 ~ 5.712.
+    eta >= 1, |sigma_hat(eta)| <= curve_measure._decay_prefactor((eta,)) =
+    2 / (pi eta), and e^-eta <= 1 / (e eta), so the ratio is at most
+    2/pi + 1/e.  The gate is the larger, 1 + 3 pi/2 ~ 5.712.
     """
     rng = family_stream(seed, "profile-oracle", 0)
 
@@ -366,6 +366,9 @@ def log_growth(seed: int, d_list, budget: int, ind_dims,
     details = {
         "d_list": list(d_list), "budget": budget,
         "sup_estimates": sups,
+        "g_lower": [row.g_lower for row in table.rows],
+        "sup_g_lower": [row.sup_g_lower for row in table.rows],
+        "envelope_share": [row.envelope_share for row in table.rows],
         "tail_bounds": [row.tail_bound for row in table.rows],
         "monotone": monotone,
         "ratio_to_log": ratios,

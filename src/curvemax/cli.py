@@ -330,7 +330,8 @@ def cmd_multiplier_sup(ns, cfg, seed, quick):
     row = sup_search(d, budget=budget, seed=seed, tol=tol)
     ok = math.isfinite(row.sup_estimate) and row.g_lower <= row.sup_estimate
     rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
-             "g_lower": row.g_lower, "tail_bound": row.tail_bound,
+             "g_lower": row.g_lower, "sup_g_lower": row.sup_g_lower,
+             "tail_bound": row.tail_bound,
              "profile_tol": tol, "evals": row.evals, "seed": row.seed,
              "argmax": list(row.argmax), "passed": ok}]
     failures = [] if ok else [f"sup estimate not finite at d={d}"]
@@ -346,7 +347,8 @@ def cmd_log_growth(ns, cfg, seed, quick):
     rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
              "tail_bound": row.tail_bound, "evals": row.evals,
              "seed": row.seed, "argmax": list(row.argmax),
-             "g_lower": row.g_lower} for row in table.rows]
+             "g_lower": row.g_lower, "sup_g_lower": row.sup_g_lower}
+            for row in table.rows]
     sups = [r["sup_estimate"] for r in rows]
     failures = []
     if any(b < a for a, b in zip(sups[:-1], sups[1:])):

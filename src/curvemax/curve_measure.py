@@ -6,13 +6,12 @@ over |t| <= 1.  Their transforms are oscillatory integrals with polynomial
 phase, and the anisotropic dilation acts by rescaling the frequency:
 sigma_hat at scale 2^k is sigma_hat(delta_{2^k} xi).
 
-Besides plain evaluation this module carries two majorants used by the
-multiplier profile: the heuristic decay envelope (max_j |xi_j 2^{kj}|)^{-1/d}
-and a certified upper bound built from fully explicit constants (a Remez
-sublevel estimate keyed to the largest phase coefficient plus the
-first-derivative test on monotone pieces).  The certified bound is keyed to
-the top nonzero index of xi, so zero-padded vectors get bit-identical
-treatment in any ambient dimension.
+Besides plain evaluation this module holds the profile's certified decay
+bound, min(1, G 2^{-k}, Remez sublevel plus monotone-piece estimate at its
+closed-form optimum delta'), derived above _kappa, and the heuristic
+envelope (max_j |xi_j 2^{kj}|)^{-1/d}.  The certified bound is
+keyed to the top nonzero index of xi, so zero-padded vectors get
+bit-identical treatment in any ambient dimension.
 """
 
 from __future__ import annotations
@@ -138,15 +137,17 @@ def dyadic_phase_size(xi, k: int) -> float:
 
 # --- certified upper bound for |sigma_hat| -------------------------------
 #
-# Writing q = phase' (degree j_top - 1 with max coefficient M), the measure
-# of {|q| <= delta} inside [-1, 1] is controlled by the Remez inequality
-#     sup_[-1,1] |q| <= T_D((4 - m)/m) * delta          (|sublevel| = m),
-# while coefficients are tied to the sup norm through exact Chebyshev
-# coefficient sums: M <= kappa_D sup|q|.  Off the sublevel set the phase is
-# monotone with |q| >= delta on at most 2(j_top - 1) stretches per piece, and
-# integration by parts gives 3/delta on each.  Minimizing over delta yields
-# an explicit bound ~ M^{-1/j_top}; every constant below is computed, none
-# quoted.
+# At scale k, q = phase' has degree D = j_top - 1 and largest coefficient
+# M = max_j 2 pi j |xi_j| 2^{kj} <= kappa_D sup_[-1,1] |q| (exact Chebyshev
+# coefficient sums).  The Remez inequality bounds |{|q| <= delta}| by
+# sub(delta) = 4 / (1 + T_D^{-1}(M / (kappa_D delta))); off that set at most
+# 2D monotone pieces with |q| >= delta give 3/delta each, so every delta > 0
+# certifies 2 (min(sub(delta), 1/2) + 6D/delta).  For small delta, sub ~
+# A delta^{1/D} with A = 8 (kappa_D / (2M))^{1/D}, and sigma_hat_upper_bound
+# takes the exact sub at delta' = (6D^2 / A)^{D/(D+1)}, the minimizer of
+# A delta^{1/D} + 6D/delta.  Its min with G 2^{-k} (_decay_prefactor: twice
+# the closed-form minimum of 8 (kappa_D delta / M_top)^{1/D} + 6D/delta, with
+# M_top <= M the top coefficient) is certified because both bounds are.
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +165,31 @@ def _kappa(deg: int) -> float:
         for i, c in enumerate(row):
             totals[i] = totals.get(i, 0) + abs(c)
     return 2.0 * max(totals.values())
+
+
+@lru_cache(maxsize=None)
+def _tail_constant(deg: int) -> float:
+    """c0 with min over delta of 8 (kappa delta / M)^{1/deg} + 6 deg / delta
+    equal to c0 M^{-1/(deg+1)} for every M > 0."""
+    kappa = _kappa(deg)
+    a_pow = deg / (deg + 1.0)
+    return (8.0**a_pow * kappa ** (1.0 / (deg + 1.0))
+            * (6.0 * deg) ** (1.0 / (deg + 1.0))
+            * (deg ** (1.0 / (deg + 1.0)) + deg ** (-a_pow)))
+
+
+def _decay_prefactor(xi) -> float:
+    """G with |sigma_hat(delta_{2^k} xi)| <= min(1, G 2^{-k}) for all k."""
+    xi = np.asarray(xi, dtype=float)
+    j_top = top_index(xi)
+    if j_top == 0:
+        raise ValueError("zero frequency")
+    a = abs(xi[j_top - 1])
+    if j_top == 1:
+        return 2.0 / (math.pi * a)
+    c0 = _tail_constant(j_top - 1)
+    log_m1 = (math.log(2.0 * math.pi * j_top) + math.log(a)) / j_top
+    return 2.0 * c0 * math.exp(-log_m1)
 
 
 def _inv_chebyshev(log_x: float, deg: int) -> float:
@@ -188,9 +214,9 @@ def sigma_hat_upper_bound(xi, k: int) -> float:
         return 1.0
     nz = np.nonzero(xi)[0]
     js = nz + 1.0
-    # log of max_j j*|eta_j| for eta = delta_{2^k} xi, times the 2 pi phase factor
-    log_m = float(np.max(np.log(js * 2.0 * math.pi * np.abs(xi[nz]))
-                         + k * js * _LN2))
+    # log M as a sum of logs, so that no factor overflows
+    log_m = math.log(2.0 * math.pi) + float(
+        np.max(np.log(js) + np.log(np.abs(xi[nz])) + k * js * _LN2))
     if j_top == 1:
         # single-frequency piece integrates exactly: |int e^{ict}| <= 2/|c|
         return min(1.0, 2.0 * math.exp(min(_LN2 - log_m, 0.0)))
@@ -198,14 +224,15 @@ def sigma_hat_upper_bound(xi, k: int) -> float:
     deg = j_top - 1
     log_kappa = math.log(_kappa(deg))
     pieces = 6.0 * deg
-    best = 0.5
-    # minimize sublevel(delta) + pieces/delta over a log grid of delta
-    center = max(log_m, 0.0)
-    for log_delta in np.linspace(center - 60.0, center + 25.0, 240):
-        sub = 4.0 / (1.0 + _inv_chebyshev(log_m - log_kappa - log_delta, deg))
-        osc = pieces * math.exp(-log_delta)
-        best = min(best, min(sub, 0.5) + osc)
-    return min(1.0, 2.0 * best)
+    log_a = math.log(8.0) + (log_kappa - _LN2 - log_m) / deg
+    log_delta = deg / (deg + 1.0) * (math.log(pieces * deg) - log_a)
+    sub = 4.0 / (1.0 + _inv_chebyshev(log_m - log_kappa - log_delta, deg))
+    osc = pieces * math.exp(-max(log_delta, 0.0))  # > 1 for delta < 1 anyway
+    try:
+        decay = math.ldexp(_decay_prefactor(xi), -k)
+    except OverflowError:
+        decay = math.inf
+    return min(1.0, 2.0 * (min(sub, 0.5) + osc), decay)
 
 
 def gamma_reduce(f: GridFunction, gamma: CurveCoeffs) -> GridFunction:

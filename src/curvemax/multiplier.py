@@ -23,12 +23,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .curve_measure import (DyadicWindow, dyadic_phase_size, sigma_hat_dyadic,
-                            sigma_hat_upper_bound, top_index, _kappa,
+                            sigma_hat_upper_bound, top_index, _decay_prefactor,
                             _normal_frequency)
 from .norms import dilate, rho
 from .oscillatory import QuadratureError
@@ -103,20 +103,6 @@ def _small_scale_bound(xi, k: int, rho_xi: float, j_lo: int = 0) -> float:
     return math.ldexp(rho_xi, k) + dyadic_phase_size(weighted, k)
 
 
-@lru_cache(maxsize=None)
-def _tail_constant(deg: int) -> float:
-    """Closed-form constant c0 with |piece integral| <= c0 * M^{-1/(deg+1)}.
-
-    Optimizes the Remez sublevel bound 8 (kappa delta / M)^{1/deg} against the
-    monotone-piece estimate 6 deg / delta in closed form.
-    """
-    kappa = _kappa(deg)
-    a_pow = deg / (deg + 1.0)
-    return (8.0**a_pow * kappa ** (1.0 / (deg + 1.0))
-            * (6.0 * deg) ** (1.0 / (deg + 1.0))
-            * (deg ** (1.0 / (deg + 1.0)) + deg ** (-a_pow)))
-
-
 def _upper_tail_sq(g_decay: float, rho_xi: float, k_last: int) -> float:
     """Certified bound for sum_{k > k_last} |nu_hat(delta_{2^k} xi)|^2."""
     try:
@@ -138,20 +124,6 @@ def _window_edge(tail_sq, start: int, step: int, half_target: float,
         if step * (k - start) > WINDOW_LIMIT:
             raise RuntimeError(f"window limit reached {where}")
     return k
-
-
-def _decay_prefactor(xi) -> float:
-    """G with |sigma_hat(delta_{2^k} xi)| <= min(1, G 2^{-k}) for all k."""
-    xi = np.asarray(xi, dtype=float)
-    j_top = top_index(xi)
-    if j_top == 0:
-        raise ValueError("zero frequency")
-    a = abs(xi[j_top - 1])
-    if j_top == 1:
-        return 2.0 / (math.pi * a)
-    c0 = _tail_constant(j_top - 1)
-    log_m1 = (math.log(2.0 * math.pi * j_top) + math.log(a)) / j_top
-    return 2.0 * c0 * math.exp(-log_m1)
 
 
 @dataclass(frozen=True)
@@ -310,7 +282,9 @@ class GrowthRow:
     evals: int
     seed: int
     tail_bound: float
-    g_lower: float
+    g_lower: float              # at the argmax
+    sup_g_lower: float          # largest g_lower evaluated
+    envelope_share: float       # envelope-only share of the argmax's entries
 
 
 @dataclass(frozen=True)
@@ -326,20 +300,23 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
     """Deterministic random multistart plus compass refinement for sup g.
 
     Every reported estimate is an evaluation at a concrete frequency, hence a
-    genuine lower bound for the sup up to the profile's quadrature tolerance
-    (g_lower strips even that).  Ties prefer the lexicographically smaller
-    point so reruns and padded re-seeds resolve identically.
+    genuine lower bound for the sup up to the profile's quadrature tolerance;
+    sup_g_lower, the largest g_lower evaluated, strips even that.  Ties
+    prefer the lexicographically smaller point so reruns and padded re-seeds
+    resolve identically.
     """
     if budget < 4:
         raise ValueError("budget too small to search")
     rng = family_stream(seed, "sup-search", d)
     evals = 0
     best = None  # (g_value, xi tuple, profile)
+    sup_lower = 0.0
 
     def consider(vec) -> bool:
-        nonlocal evals, best
+        nonlocal evals, best, sup_lower
         prof = g_profile(vec, tol=tol)
         evals += 1
+        sup_lower = max(sup_lower, prof.g_lower)
         key = (prof.g_value, tuple(-v for v in prof.xi))
         if best is None or key > (best[0].g_value, tuple(-v for v in best[0].xi)):
             best = (prof,)
@@ -379,7 +356,8 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
     prof = best[0]
     return GrowthRow(d=d, sup_estimate=prof.g_value, argmax=prof.xi,
                      evals=evals, seed=seed, tail_bound=prof.tail_bound,
-                     g_lower=prof.g_lower)
+                     g_lower=prof.g_lower, sup_g_lower=sup_lower,
+                     envelope_share=len(prof.envelope_only) / len(prof.values))
 
 
 def log_growth_experiment(d_list=(1, 2, 4, 8, 16), budget: int = 1000,

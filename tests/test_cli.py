@@ -141,6 +141,14 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert "sigma-hat: PASS" in err
 
 
+def test_sigma_hat_bound_at_huge_coordinates(capsys):
+    # 2 pi |xi_1| overflowed to inf, and the bound read 1.0 with PASS
+    code, out, _ = run_cli(capsys, "sigma-hat", "--xi", "1e308,1",
+                           "--k-lo", "5", "--k-hi", "5")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["certified_bound"] < 1.0
+
+
 def test_json_meta_carries_resolved_parameters(capsys):
     _, out, _ = run_cli(capsys, "multiplier-sup", "--d", "2", "--quick",
                         "--budget", "60")

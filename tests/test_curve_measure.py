@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ from curvemax.curve_measure import (CurveCoeffs, DyadicWindow,
                                     dyadic_phase_size, mu_hat,
                                     sigma_decay_envelope, sigma_hat,
                                     sigma_hat_dyadic, sigma_hat_upper_bound,
-                                    top_index)
-from curvemax.norms import dilate
+                                    top_index, _decay_prefactor)
+from curvemax.norms import dilate, rho
 
 
 def test_zero_frequency_is_total_mass():
@@ -64,8 +67,8 @@ def test_top_index():
 
 def test_certified_bound_majorizes():
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        d = int(rng.integers(1, 4))
+    for i in range(60):
+        d = int(rng.integers(1, 4)) if i < 40 else 4 + i % 2
         xi = np.sign(rng.standard_normal(d)) * 10.0 ** rng.uniform(-1, 2, d)
         k = int(rng.integers(-2, 3))
         if dyadic_phase_size(xi, k) > 1e5:
@@ -73,6 +76,63 @@ def test_certified_bound_majorizes():
         bound = sigma_hat_upper_bound(xi, k)
         val = abs(sigma_hat_dyadic(xi, k, tol=1e-11))
         assert val <= min(1.0, bound) + 1e-9
+
+
+def _annulus(rng, d):
+    v = rng.standard_normal(d)
+    return dilate(v, rng.uniform(1.0, 2.0) / rho(v))
+
+
+def _unit(d):
+    e = np.zeros(d)
+    e[-1] = 1.0
+    return e
+
+
+def _assert_below_decay_bound(xi, ks):
+    g = _decay_prefactor(xi)
+    for k in ks:
+        assert sigma_hat_upper_bound(xi, k) <= min(1.0, math.ldexp(g, -k))
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_certified_bound_never_above_decay_bound_on_unit_vectors(d):
+    # a delta scan around log M missed the optimum here: e_16 stuck at
+    # 0.5866 for every k >= 8 and e_8 at 0.0061 from k = 16
+    _assert_below_decay_bound(_unit(d), range(41))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_certified_bound_never_above_decay_bound_on_annulus(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(4):
+        _assert_below_decay_bound(_annulus(rng, d), range(0, 121, 3))
+
+
+def test_certified_bound_decays_past_the_scan_window():
+    bounds = [sigma_hat_upper_bound(_unit(16), k) for k in (8, 12, 16)]
+    assert bounds[0] <= 0.140 and bounds[1] <= 0.0089 and bounds[2] <= 0.00056
+
+
+def test_certified_bound_is_dyadic_equivariant():
+    rng = np.random.default_rng(44)
+    for d in (1, 2, 3, 5, 8, 16):
+        xi = _annulus(rng, d)
+        for k in range(-20, 80, 7):
+            assert sigma_hat_upper_bound(dilate(xi, 2.0), k) == pytest.approx(
+                sigma_hat_upper_bound(xi, k + 1), rel=1e-12, abs=0.0)
+
+
+def test_certified_bound_at_huge_coordinates():
+    # 2 pi |xi_1| overflowed before the log, leaving the trivial bound 1
+    xi = np.array([1e308, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = sigma_hat_upper_bound(xi, 5)
+    # delta_{2^-500} keeps xi_2 normal; delta_{2^-1000} would flush it to 0
+    scaled = sigma_hat_upper_bound(np.ldexp(xi, [-500, -1000]), 505)
+    assert bound < 1.0
+    assert bound == pytest.approx(scaled, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [[0.0, 5e-324], [1e-310, 1.0]])

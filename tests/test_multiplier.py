@@ -90,6 +90,8 @@ def test_growth_table_monotone_and_fits():
     sups = [r.sup_estimate for r in table.rows]
     assert sups == sorted(sups)
     assert all(np.isfinite(r.sup_estimate) for r in table.rows)
+    assert all(r.g_lower <= r.sup_g_lower <= r.sup_estimate
+               for r in table.rows)
     assert np.isfinite(table.fit_slope)
     assert len(table.residuals) == 3
 

@@ -283,7 +283,8 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
             except QuadratureError:
                 val = None
         row = {"k": k, "quad_tol": tol, "certified_bound": bound,
-               "envelope_scale": env}
+               # null where the envelope is unbounded, so the JSON stays strict
+               "envelope_scale": env if math.isfinite(env) else None}
         if val is None:
             row.update({"abs": None, "real": None, "imag": None,
                         "passed": True})

@@ -109,14 +109,18 @@ def _normal_frequency(xi) -> np.ndarray:
 
 
 def sigma_decay_envelope(xi, k: int) -> float:
-    """Heuristic majorant (max_j |xi_j 2^{kj}|)^{-1/d}, computed in logs."""
+    """Heuristic majorant (max_j |xi_j 2^{kj}|)^{-1/d}, computed in logs;
+    inf where it leaves double range."""
     xi = np.asarray(xi, dtype=float)
     nz = np.nonzero(xi)[0]
     if len(nz) == 0:
         raise ValueError("decay envelope undefined for the zero vector")
     js = nz + 1.0
     log_max = float(np.max(np.log(np.abs(xi[nz])) + k * js * _LN2))
-    return math.exp(-log_max / len(xi))
+    try:
+        return math.exp(-log_max / len(xi))
+    except OverflowError:  # unbounded at this scale, as in dyadic_phase_size
+        return math.inf
 
 
 def dyadic_phase_size(xi, k: int) -> float:
@@ -186,6 +190,8 @@ def _decay_prefactor(xi) -> float:
         raise ValueError("zero frequency")
     a = abs(xi[j_top - 1])
     if j_top == 1:
+        if a > sys.float_info.max / math.pi:  # pi a would overflow to inf
+            return 2.0 / math.pi / a
         return 2.0 / (math.pi * a)
     c0 = _tail_constant(j_top - 1)
     log_m1 = (math.log(2.0 * math.pi * j_top) + math.log(a)) / j_top

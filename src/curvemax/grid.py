@@ -3,8 +3,11 @@
 A GridFunction stores nonnegative samples on a regular grid: axis i runs from
 mins[i] in uniform steps[i] increments.  Everything outside the lattice is
 read as zero, which matches how the averaging operators treat compactly
-supported data.  Files hold a one-line JSON header (dimension, extent, step)
-followed by raw little-endian float64 samples in C order.
+supported data: reads between lattice points interpolate multilinearly in
+the zero-extended lattice (scipy's "grid-constant" mode), so near the edge
+they blend the last samples with zero.  Files hold a one-line JSON header
+(dimension, extent, step) followed by raw little-endian float64 samples in
+C order.
 """
 
 from __future__ import annotations
@@ -50,10 +53,12 @@ class GridFunction:
         return self.mins[i] + self.steps[i] * np.arange(self.samples.shape[i])
 
     def shifted(self, offset) -> np.ndarray:
-        """Samples of x -> f(x - offset) by multilinear interpolation, zero-filled."""
+        """Samples of x -> f(x - offset) by multilinear interpolation of the
+        zero-extended lattice: the one-translate definition that
+        maxop._translate_sum sums as a stencil."""
         pixels = [o / st for o, st in zip(np.atleast_1d(offset), self.steps)]
         return ndimage.shift(self.samples, shift=pixels, order=1,
-                             mode="constant", cval=0.0, prefilter=False)
+                             mode="grid-constant", cval=0.0, prefilter=False)
 
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
         return GridFunction(mins=self.mins, steps=self.steps, samples=samples)

@@ -1,10 +1,12 @@
 """Maximal averages along the moment curve on sampled grids (d <= 3).
 
 All operators share one primitive, _translate_sum: the sum of the lattice
-translates f(x - p) over a point set, by multilinear interpolation with zero
-fill.  Curve and shell averages pass the curve points (t, t^2, ..., t^d) at
+translates f(x - p) over a point set, by multilinear interpolation of the
+zero-extended lattice, evaluated as one sparse stencil over integer offsets.
+Curve and shell averages pass the curve points (t, t^2, ..., t^d) at
 midpoint nodes in t; Poisson averages pass draws from the stable-mixture
-kernel, whose heavy tails defeat fixed stencils, and also ask for the sum of
+kernel, whose heavy-tailed draws simply spread the stencil (those that land
+off the grid drop out of it), and also ask for the exact sum of per-draw
 squares behind their standard error.  Each maximal function is a pointwise max
 of such averages over radii, dyadic shells or Poisson scales.  A general curve
 (gamma_1 t, ..., gamma_d t^d) goes through curve_measure.gamma_reduce.
@@ -21,6 +23,8 @@ Monte Carlo error estimates, never hidden.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -35,16 +39,99 @@ from .stable_poisson import sample_kernel_batch
 ESCAPE_WARN_FRACTION = 0.10
 
 
+@lru_cache(maxsize=None)
+def _corner_pairs(d: int):
+    """Corners {0,1}^d, the distinct deltas c_j - c_i that are zero or have a
+    positive first nonzero entry, and (i, j, weight, layer) for each pair of
+    corner indices with such a delta, layer being 1 + its index in deltas.
+
+    Each unordered pair appears once, with weight 2 off the diagonal, so
+    (sum_c w_c a_c)^2 = sum over pairs of weight w_i w_j a_i a_j.
+    """
+    corners = np.array(list(product((0, 1), repeat=d)))
+    deltas, pairs = [], []
+    for i, j in product(range(len(corners)), repeat=2):
+        delta = tuple((corners[j] - corners[i]).tolist())
+        lead = next((v for v in delta if v), 1)
+        if lead > 0:
+            if delta not in deltas:
+                deltas.append(delta)
+            pairs.append((i, j, 2.0 if i != j else 1.0, 1 + deltas.index(delta)))
+    return corners, deltas, pairs
+
+
 def _translate_sum(f: GridFunction, pts: np.ndarray, squares: bool = False):
-    """(sum_p f(x - p), sum_p f(x - p)^2 or None) over the rows p of pts."""
-    acc = np.zeros_like(f.samples)
-    acc_sq = np.zeros_like(f.samples) if squares else None
-    for p in pts:
-        shifted = f.shifted(p)
-        acc += shifted
-        if squares:
-            acc_sq += shifted * shifted
+    """(sum_p f(x - p), sum_p f(x - p)^2 or None) over the rows p of pts.
+
+    Every translate reads the zero-extended lattice multilinearly: with pixel
+    offset s = p / step, n = floor(s) and fr = s - n it is
+    sum_{c in {0,1}^d} w_c(fr) f[i - n - c].  The sum over pts is therefore
+    one sparse stencil, sum_m S[m] f[i - m], applied as one slice-add per
+    nonzero offset m.  The squares expand exactly the same way:
+    sum_p (sum_c w_c f[i-n-c])^2 = sum_delta sum_m T_delta[m] Q_delta[i - m]
+    with Q_delta[u] = f[u] f[u - delta] and T_delta[n + c] accumulating
+    w_c w_{c+delta}, where delta and -delta share one stencil (the weight-2
+    pairs of _corner_pairs).  A translate with n outside [-N, N - 1] on an
+    axis of N points reads only zeros and is dropped from the stencil.
+    """
+    samples = f.samples
+    shape = np.array(samples.shape)
+    span = 2 * shape + 1  # offsets n + c lie in [-N, N] on each axis
+    s = np.asarray(pts, dtype=float).reshape(-1, f.d) / np.array(f.steps)
+    n = np.floor(s)
+    on_grid = np.all((n >= -shape) & (n <= shape - 1), axis=1)
+    fr = (s - n)[on_grid]
+    corners, deltas, pairs = _corner_pairs(f.d)
+    # w[p, c] = prod over axes of fr (c_a = 1) or 1 - fr (c_a = 0)
+    w = np.prod(np.where(corners, fr[:, None, :], 1.0 - fr[:, None, :]), axis=2)
+    # flat index of the offset n + c in the box [-N, N]^d, per point and corner
+    flat = (np.ravel_multi_index((n[on_grid].astype(np.int64) + shape).T, span)[:, None]
+            + np.ravel_multi_index(corners.T, span))
+
+    # one stencil over (offset, source layer): layer 0 reads f itself and
+    # layer 1 + q reads Q_delta for the q-th delta
+    sources = [samples]
+    n_layers = 1 + len(deltas) if squares else 1
+    keys, weights = [flat * n_layers], [w]
+    if squares:
+        sources += [samples * _read(samples, delta) for delta in deltas]
+        for i, j, mult, layer in pairs:
+            keys.append(flat[:, i] * n_layers + layer)
+            weights.append(mult * w[:, i] * w[:, j])
+    rows, inverse = np.unique(np.concatenate([k.ravel() for k in keys]),
+                              return_inverse=True)
+    stencil = np.bincount(inverse, minlength=len(rows),
+                          weights=np.concatenate([x.ravel() for x in weights]))
+    flat_rows, layers = np.divmod(rows, n_layers)
+    offsets = np.stack(np.unravel_index(flat_rows, span), axis=-1) - shape
+
+    acc = np.zeros_like(samples)
+    acc_sq = np.zeros_like(samples) if squares else None
+    last = None  # rows come sorted by offset, so each offset's layers are adjacent
+    for m, layer, weight in zip(offsets.tolist(), layers.tolist(), stencil.tolist()):
+        if weight == 0.0:
+            continue
+        if m != last:
+            dst, src = _offset_slices(m, samples.shape)
+            last = m
+        (acc_sq if layer else acc)[dst] += weight * sources[layer][src]
     return acc, acc_sq
+
+
+def _offset_slices(m, shape):
+    """Slices (dst, src) with dst holding every i where i - m is on the grid
+    and src the matching i - m."""
+    dst = tuple(slice(max(k, 0), min(size, size + k)) for k, size in zip(m, shape))
+    src = tuple(slice(max(-k, 0), min(size, size - k)) for k, size in zip(m, shape))
+    return dst, src
+
+
+def _read(samples: np.ndarray, delta) -> np.ndarray:
+    """The array u -> samples[u - delta], zero where u - delta leaves the grid."""
+    out = np.zeros_like(samples)
+    dst, src = _offset_slices(delta, samples.shape)
+    out[dst] = samples[src]
+    return out
 
 
 def _average_over(f: GridFunction, t_samples: int, lo: float, hi: float,

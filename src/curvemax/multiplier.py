@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -98,9 +99,12 @@ def _small_scale_bound(xi, k: int, rho_xi: float, j_lo: int = 0) -> float:
     between xi and its truncation to the first j_lo coordinates.
     """
     xi = np.asarray(xi, dtype=float)
-    weighted = _lipschitz_coeffs(len(xi)) * xi
+    # L_j < 8, so L_j xi_j overflows only for |xi_j| near the double maximum;
+    # there the sum is formed from xi / 8 and multiplied back
+    scale = 8.0 if np.max(np.abs(xi)) > sys.float_info.max / 8.0 else 1.0
+    weighted = _lipschitz_coeffs(len(xi)) * (xi / scale)
     weighted[:j_lo] = 0.0
-    return math.ldexp(rho_xi, k) + dyadic_phase_size(weighted, k)
+    return math.ldexp(rho_xi, k) + dyadic_phase_size(weighted, k) * scale
 
 
 def _upper_tail_sq(g_decay: float, rho_xi: float, k_last: int) -> float:

@@ -149,6 +149,21 @@ def test_sigma_hat_bound_at_huge_coordinates(capsys):
     assert json.loads(out)["rows"][0]["certified_bound"] < 1.0
 
 
+@pytest.mark.parametrize("xi, k", [("1,1", "-3000"), ("1e-300", "-1100")])
+def test_sigma_hat_row_where_the_envelope_is_unbounded(capsys, xi, k):
+    # exp(-log_max / d) raised OverflowError instead of emitting the row
+    code, out, _ = run_cli(capsys, "sigma-hat", "--xi", xi,
+                           "--k-lo", k, "--k-hi", k)
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    (row,) = json.loads(out, parse_constant=reject)["rows"]
+    assert row["certified_bound"] == 1.0
+    assert row["envelope_scale"] is None
+
+
 def test_json_meta_carries_resolved_parameters(capsys):
     _, out, _ = run_cli(capsys, "multiplier-sup", "--d", "2", "--quick",
                         "--budget", "60")

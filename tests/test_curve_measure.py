@@ -152,6 +152,19 @@ def test_envelope_positive_and_monotone_in_scale():
         sigma_decay_envelope(np.zeros(2), 0)
 
 
+@pytest.mark.parametrize("xi, k", [([1.0, 1.0], -3000), ([1e-300], -1100)])
+def test_envelope_overflow_is_inf(xi, k):
+    assert sigma_decay_envelope(np.array(xi), k) == math.inf
+
+
+def test_decay_prefactor_at_the_top_of_double_range():
+    # 2 / (pi a) read 0 once pi a overflowed; the bound must stay positive
+    a = 1.7e308
+    g = _decay_prefactor([a])
+    assert g > 0.0
+    assert g == pytest.approx(2.0 / math.pi / a, rel=1e-12)
+
+
 def test_phase_size_overflow_is_inf():
     assert dyadic_phase_size((1.0, 1.0), 2000) == np.inf
     assert dyadic_phase_size((0.0, 0.0), 3) == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from curvemax import maxop
 from curvemax.curve_measure import CurveCoeffs, DyadicWindow, gamma_reduce
-from curvemax.grid import from_callable
+from curvemax.grid import GridFunction, from_callable
 from curvemax.maxop import (continuous_max, curve_average, dyadic_max,
                             poisson_max, sandwich_check, shell_average,
                             split_check)
@@ -108,6 +108,61 @@ def test_averages_are_means_of_translates_over_midpoint_nodes():
         mask = maxop._interior_mask(f, reach)
         assert mask.sum() >= 100
         np.testing.assert_allclose(avg.samples[mask], ref[mask], rtol=1e-13)
+
+
+@pytest.mark.parametrize("d, n", [(1, 40), (2, 17), (3, 9)])
+def test_translate_sum_matches_per_translate_sums(d, n):
+    # the whole grid, boundary band included: the stencil reads the same
+    # zero-extended lattice as each translate does
+    rng = np.random.default_rng(20 + d)
+    f = GridFunction(mins=(-1.0,) * d, steps=tuple(rng.uniform(0.1, 0.3, d)),
+                     samples=rng.uniform(0.0, 2.0, (n,) * d))
+    steps = np.array(f.steps)
+    pts = np.concatenate([
+        rng.normal(0.0, 1.5, (150, d)),                  # mostly on the grid
+        5.0 * rng.standard_cauchy((40, d)),              # heavy tails, many off it
+        np.round(rng.normal(0.0, 2.0, (20, d)) / steps) * steps,  # whole cells
+        [[1e300] * d, [-1e300] * d],                     # far off the grid
+        [(n - 0.5) * steps, -(n + 0.5) * steps],         # just off either end
+    ])
+    acc, acc_sq = maxop._translate_sum(f, pts, squares=True)
+    translates = np.array([f.shifted(p) for p in pts])
+    ref, ref_sq = translates.sum(axis=0), (translates**2).sum(axis=0)
+    np.testing.assert_allclose(acc, ref, rtol=1e-13, atol=1e-13 * ref.max())
+    np.testing.assert_allclose(acc_sq, ref_sq, rtol=1e-13,
+                               atol=1e-13 * ref_sq.max())
+    plain, none = maxop._translate_sum(f, pts)
+    np.testing.assert_array_equal(plain, acc)
+    assert none is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_translate_sum_of_whole_cell_shifts_and_of_no_points(d):
+    rng = np.random.default_rng(d)
+    f = GridFunction(mins=(0.0,) * d, steps=(0.25,) * d,
+                     samples=rng.uniform(0.5, 2.0, (6,) * d))
+    cells = rng.integers(-7, 8, (30, d))
+    acc, acc_sq = maxop._translate_sum(f, 0.25 * cells, squares=True)
+    translates = np.array([f.shifted(0.25 * c) for c in cells])
+    np.testing.assert_allclose(acc, translates.sum(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(acc_sq, (translates**2).sum(axis=0), rtol=1e-14)
+    empty, empty_sq = maxop._translate_sum(f, np.empty((0, d)), squares=True)
+    np.testing.assert_array_equal(empty, 0.0)
+    np.testing.assert_array_equal(empty_sq, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_half_cell_shift_reads_the_zero_extended_lattice(d):
+    # grid-constant boundary: the edge cell interpolates between the last
+    # sample and the zero outside, where mode "constant" read 0 outright
+    f = GridFunction(mins=(0.0,) * d, steps=(0.5,) * d, samples=np.full((5,) * d, 3.0))
+    shift = (0.25,) * d
+    acc, acc_sq = maxop._translate_sum(f, np.array([shift]), squares=True)
+    edge = (0,) * d
+    assert acc[edge] == pytest.approx(3.0 / 2**d, rel=1e-15)
+    assert acc_sq[edge] == pytest.approx((3.0 / 2**d) ** 2, rel=1e-15)
+    assert f.shifted(shift)[edge] == pytest.approx(3.0 / 2**d, rel=1e-15)
+    assert acc[(1,) * d] == pytest.approx(3.0, rel=1e-15)
 
 
 def test_gamma_conjugation_matches_pullback():

@@ -149,6 +149,15 @@ def test_profile_at_extreme_magnitudes_matches_its_dilation(xi, m):
     assert abs(far.g_value - near.g_value) <= far.tail_bound + near.tail_bound
 
 
+def test_profile_at_the_top_of_double_range():
+    # L_1 xi_1 overflowed to inf, so the lower tail never closed
+    far = g_profile(np.array([1.7e308]))
+    near = g_profile(np.array([math.ldexp(1.7e308, -1023)]))
+    assert far.g_value == near.g_value
+    assert far.g_value == pytest.approx(1.37069, abs=1e-5)
+    assert far.window.k_min == near.window.k_min - 1023
+
+
 @pytest.mark.parametrize("xi", [[0.0, 5e-324], [5e-324, 0.0]])
 def test_profile_rejects_subnormal_coordinates(xi):
     with pytest.raises(ValueError, match="4.94e-324 is subnormal"):

@@ -28,7 +28,8 @@ from .grid import from_callable
 from .maxop import sandwich_check, split_check
 from .multiplier import (g_profile, induction_diagnostics,
                          log_growth_experiment, nu_hat)
-from .norms import dilate, make_space, quasi_triangle_ratio, rho
+from .norms import (_annulus_point, dilate, make_space,
+                    quasi_triangle_ratio, rho)
 from .oscillatory import (PhasePoly, sublevel_measure, vdc_bound_check,
                           vinogradov_check)
 from .rng import family_stream
@@ -70,14 +71,6 @@ def jsonable(x):
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     return x
-
-
-def _annulus_point(rng: np.random.Generator, d: int,
-                   lo: float = 1.0, hi: float = 2.0) -> np.ndarray:
-    v = rng.standard_normal(d)
-    while not np.any(v):
-        v = rng.standard_normal(d)
-    return dilate(v, rng.uniform(lo, hi) / float(rho(v)))
 
 
 # -- criterion 1 -------------------------------------------------------------

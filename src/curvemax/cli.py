@@ -72,18 +72,19 @@ def _convert(val, cast, what: str):
     return out
 
 
-def _resolve(ns, cfg, key, default=None, cast=None):
-    """Flag beats config file beats default."""
-    val = getattr(ns, key, None)
+def _resolve(ns, cfg, key, default=None):
+    """Flag beats config file beats default, cast to the setting's type."""
+    val = getattr(ns, key)
     if val is None:
         val = cfg.get(key)
     if val is None:
         return default
+    cast = dict(_COMMANDS[ns.command][2], seed=int, quick=bool)[key]
     return val if cast is None else _convert(val, cast, key)
 
 
 def _resolve_seed(ns, cfg):
-    seed = _resolve(ns, cfg, "seed", cast=int)
+    seed = _resolve(ns, cfg, "seed")
     if seed is None:
         seed = _convert(os.environ.get("PARABOLIC_SEED", 0), int, "seed")
     if not 0 <= seed < 2**64:
@@ -204,7 +205,7 @@ def _criterion_rows(results, label: str = "check"):
 
 def cmd_norm_eval(ns, cfg, seed, quick):
     point = _resolve(ns, cfg, "point")
-    d = _resolve(ns, cfg, "d", cast=int)
+    d = _resolve(ns, cfg, "d")
     vals = None
     if point is not None:
         vals = np.array(_parse_float_list(point))
@@ -247,7 +248,7 @@ def cmd_osc_corpus(ns, cfg, seed, quick):
     d_list = _resolve(ns, cfg, "d_list")
     if d_list is not None:
         overrides["dims"] = tuple(map(_check_dim, _parse_list(d_list, int)))
-    count = _resolve(ns, cfg, "count", cast=int,
+    count = _resolve(ns, cfg, "count",
                      default=preset("oscillatory-bounds", quick)["count"])
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -264,11 +265,11 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
     _check_dim(len(xi))
     if not np.any(xi):
         raise ConfigError("--xi must be nonzero")
-    k_lo = _resolve(ns, cfg, "k_lo", default=-6, cast=int)
-    k_hi = _resolve(ns, cfg, "k_hi", default=6, cast=int)
+    k_lo = _resolve(ns, cfg, "k_lo", default=-6)
+    k_hi = _resolve(ns, cfg, "k_hi", default=6)
     if k_lo > k_hi:
         raise ConfigError(f"k range [{k_lo}, {k_hi}] is empty")
-    tol = _check_tol(_resolve(ns, cfg, "tol", default=1e-10, cast=float))
+    tol = _check_tol(_resolve(ns, cfg, "tol", default=1e-10))
     rows, failures = [], []
     for k in range(k_lo, k_hi + 1):
         try:
@@ -300,10 +301,9 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
 
 
 def cmd_kernel_verify(ns, cfg, seed, quick):
-    d = _check_dim(_resolve(ns, cfg, "d", default=2, cast=int))
-    samples = _resolve(
-        ns, cfg, "samples",
-        default=preset("kernel-certification", quick)["cf_samples"], cast=int)
+    d = _check_dim(_resolve(ns, cfg, "d", default=2))
+    samples = _resolve(ns, cfg, "samples", default=preset(
+        "kernel-certification", quick)["cf_samples"])
     if samples < 1000:
         raise ConfigError("samples must be >= 1000")
     rows, failures = _criterion_rows([
@@ -317,16 +317,16 @@ def cmd_kernel_verify(ns, cfg, seed, quick):
 def _search_settings(ns, cfg, quick):
     """Budget and profile tolerance of the sup searches, as in criterion 7."""
     budget = _resolve(ns, cfg, "budget",
-                      default=preset("log-growth", quick)["budget"], cast=int)
+                      default=preset("log-growth", quick)["budget"])
     if budget < 4:
         raise ConfigError("budget must be >= 4")
     # g_profile accepts tolerances in (0, 1)
-    tol = _check_tol(_resolve(ns, cfg, "tol", default=2e-3, cast=float), 1.0)
+    tol = _check_tol(_resolve(ns, cfg, "tol", default=2e-3), 1.0)
     return budget, tol
 
 
 def cmd_multiplier_sup(ns, cfg, seed, quick):
-    d = _check_dim(_resolve(ns, cfg, "d", default=2, cast=int))
+    d = _check_dim(_resolve(ns, cfg, "d", default=2))
     budget, tol = _search_settings(ns, cfg, quick)
     row = sup_search(d, budget=budget, seed=seed, tol=tol)
     ok = math.isfinite(row.sup_estimate) and row.g_lower <= row.sup_estimate
@@ -362,11 +362,11 @@ def cmd_log_growth(ns, cfg, seed, quick):
 
 
 def cmd_maxop_check(ns, cfg, seed, quick):
-    d = _resolve(ns, cfg, "d", default=1, cast=int)
+    d = _resolve(ns, cfg, "d", default=1)
     if d not in (1, 2):
         raise ConfigError("maxop-check supports --d 1 or 2")
     mc = _resolve(ns, cfg, "mc",
-                  default=preset("maxop-reductions", quick)["mc"], cast=int)
+                  default=preset("maxop-reductions", quick)["mc"])
     if mc < 100:
         raise ConfigError("mc must be >= 100")
     rows, failures = _criterion_rows([
@@ -380,69 +380,61 @@ def cmd_accept(ns, cfg, seed, quick):
     return rows, {"quick": quick}, failures
 
 
-_HANDLERS = {
-    "norm-eval": cmd_norm_eval,
-    "osc-corpus": cmd_osc_corpus,
-    "sigma-hat": cmd_sigma_hat,
-    "kernel-verify": cmd_kernel_verify,
-    "multiplier-sup": cmd_multiplier_sup,
-    "log-growth": cmd_log_growth,
-    "maxop-check": cmd_maxop_check,
-    "accept": cmd_accept,
+# Each subcommand's handler, default --format and the settings it reads, each
+# with its type (None: a comma-separated list that the handler parses).  Every
+# subcommand also takes --seed, --quick, --format, --out and --config; any
+# other flag or config key exits 2.
+_COMMANDS = {
+    "norm-eval": (cmd_norm_eval, "json", {"point": None, "d": int}),
+    "osc-corpus": (cmd_osc_corpus, "json", {"d_list": None, "count": int}),
+    "sigma-hat": (cmd_sigma_hat, "json",
+                  {"xi": None, "k_lo": int, "k_hi": int, "tol": float}),
+    "kernel-verify": (cmd_kernel_verify, "json", {"d": int, "samples": int}),
+    "multiplier-sup": (cmd_multiplier_sup, "json",
+                       {"d": int, "budget": int, "tol": float}),
+    # a plot-ready table
+    "log-growth": (cmd_log_growth, "csv",
+                   {"d_list": None, "budget": int, "tol": float}),
+    "maxop-check": (cmd_maxop_check, "json", {"d": int, "mc": int}),
+    "accept": (cmd_accept, "json", {}),
 }
-
-# log-growth defaults to CSV (plot-ready table); everything else to JSON.
-_DEFAULT_FORMAT = {name: "json" for name in _HANDLERS}
-_DEFAULT_FORMAT["log-growth"] = "csv"
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--d", type=int, default=None)
-    common.add_argument("--d-list", dest="d_list", default=None)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--seed", default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--quick", action="store_true", default=None)
-    common.add_argument("--config", default=None)
-
+    # no abbreviations: --d must not stand for --d-list where --d is absent
     parser = argparse.ArgumentParser(
-        prog="curvemax",
+        prog="curvemax", allow_abbrev=False,
         description="Experiments and acceptance checks for the anisotropic "
                     "curve maximal-function toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-    extras = {
-        "norm-eval": [("--point", {})],
-        "osc-corpus": [("--count", {"type": int})],
-        "sigma-hat": [("--xi", {}), ("--k-lo", {"type": int, "dest": "k_lo"}),
-                      ("--k-hi", {"type": int, "dest": "k_hi"})],
-        "kernel-verify": [("--samples", {"type": int})],
-        "multiplier-sup": [],
-        "log-growth": [],
-        "maxop-check": [("--mc", {"type": int})],
-        "accept": [],
-    }
-    for name in _HANDLERS:
-        p = sub.add_parser(name, parents=[common])
-        for flag, kwargs in extras[name]:
-            p.add_argument(flag, default=None, **kwargs)
+    for name, (_, _, settings) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--seed")
+        p.add_argument("--quick", action="store_true", default=None)
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--out")
+        p.add_argument("--config")
+        for key, cast in settings.items():
+            p.add_argument("--" + key.replace("_", "-"), type=cast)
     return parser
 
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
+    handler, default_format, settings = _COMMANDS[ns.command]
     try:
         cfg = _load_config(ns.config)
+        unread = sorted(set(cfg) - set(settings) - {"seed", "quick", "format"})
+        if unread:
+            raise ConfigError(f"{ns.command} reads no config key "
+                              + ", ".join(map(repr, unread)))
         seed = _resolve_seed(ns, cfg)
-        quick = _resolve(ns, cfg, "quick", default=False, cast=bool)
-        ns.resolved_format = (ns.format or cfg.get("format")
-                              or _DEFAULT_FORMAT[ns.command])
+        quick = _resolve(ns, cfg, "quick", default=False)
+        ns.resolved_format = ns.format or cfg.get("format") or default_format
         if ns.resolved_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, "
                               f"got {ns.resolved_format!r}")
-        rows, meta, failures = _HANDLERS[ns.command](ns, cfg, seed, quick)
+        rows, meta, failures = handler(ns, cfg, seed, quick)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,16 @@
-"""Sampled functions on uniform lattices, with simple binary serialization.
+"""Sampled functions on uniform lattices.
 
 A GridFunction stores nonnegative samples on a regular grid: axis i runs from
 mins[i] in uniform steps[i] increments.  Everything outside the lattice is
 read as zero, which matches how the averaging operators treat compactly
 supported data: reads between lattice points interpolate multilinearly in
 the zero-extended lattice (scipy's "grid-constant" mode), so near the edge
-they blend the last samples with zero.  Files hold a one-line JSON header
-(dimension, extent, step) followed by raw little-endian float64 samples in
-C order.
+they blend the last samples with zero.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -62,39 +58,6 @@ class GridFunction:
 
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
         return GridFunction(mins=self.mins, steps=self.steps, samples=samples)
-
-    def save(self, path) -> None:
-        header = {
-            "d": self.d,
-            "extent": [[lo, hi, st] for lo, hi, st
-                       in zip(self.mins, self.maxs, self.steps)],
-            "shape": list(self.samples.shape),
-       }
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
-            fh.write(b"\n")
-            fh.write(np.ascontiguousarray(self.samples, dtype="<f8").tobytes())
-
-    @staticmethod
-    def load(path) -> "GridFunction":
-        """Read a file written by save; ValueError naming the file if malformed."""
-        raw = Path(path).read_bytes()
-        nl = raw.find(b"\n")
-        try:
-            header = json.loads(raw[:max(nl, 0)].decode("ascii"))
-            shape = tuple(int(n) for n in header["shape"])
-            mins = tuple(e[0] for e in header["extent"])
-            steps = tuple(e[2] for e in header["extent"])
-        except (ValueError, TypeError, KeyError, IndexError) as exc:
-            raise ValueError(f"grid file {path}: bad header ({exc})") from None
-        expected = 8 * int(np.prod(shape))
-        actual = len(raw) - nl - 1
-        if actual != expected:
-            raise ValueError(f"grid file {path}: header shape {list(shape)} "
-                             f"needs {expected} sample bytes, found {actual}")
-        data = np.frombuffer(raw, dtype="<f8", offset=nl + 1)
-        return GridFunction(mins=mins, steps=steps,
-                            samples=data.reshape(shape).copy())
 
 
 def from_callable(fn, mins, maxs, shape) -> GridFunction:

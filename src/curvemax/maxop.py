@@ -157,8 +157,8 @@ def _average_over(f: GridFunction, t_samples: int, lo: float, hi: float,
 def curve_average(f: GridFunction, r: float, t_samples: int = 256) -> GridFunction:
     """Solid average (1/2r) int_{|t|<=r} f(x - curve(t)) dt by midpoint rule
     on t_samples cells of [-r, r]."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     return _average_over(f, t_samples, -r, r)
 
 

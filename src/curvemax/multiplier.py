@@ -31,7 +31,7 @@ import numpy as np
 from .curve_measure import (DyadicWindow, dyadic_phase_size, sigma_hat_dyadic,
                             sigma_hat_upper_bound, top_index, _decay_prefactor,
                             _normal_frequency)
-from .norms import dilate, rho
+from .norms import _annulus_point, rho
 from .oscillatory import QuadratureError
 from .rng import family_stream
 
@@ -313,7 +313,7 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
         raise ValueError("budget too small to search")
     rng = family_stream(seed, "sup-search", d)
     evals = 0
-    best = None  # (g_value, xi tuple, profile)
+    best = None  # the profile of the best point so far
     sup_lower = 0.0
 
     def consider(vec) -> bool:
@@ -322,8 +322,8 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
         evals += 1
         sup_lower = max(sup_lower, prof.g_lower)
         key = (prof.g_value, tuple(-v for v in prof.xi))
-        if best is None or key > (best[0].g_value, tuple(-v for v in best[0].xi)):
-            best = (prof,)
+        if best is None or key > (best.g_value, tuple(-v for v in best.xi)):
+            best = prof
             return True
         return False
 
@@ -336,13 +336,11 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
     for _ in range(n_random):
         if evals >= budget:
             break
-        v = rng.standard_normal(d)
-        r = rng.uniform(1.0, 2.0)
-        consider(dilate(v, r / rho(v)))
+        consider(_annulus_point(rng, d))
 
     step = 0.25
     while evals < budget and step >= 1e-3:
-        base = np.asarray(best[0].xi)
+        base = np.asarray(best.xi)
         scale = rho(base) ** np.arange(1.0, d + 1.0)
         moved = False
         for j in range(d):
@@ -357,11 +355,10 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
         if not moved:
             step *= 0.5
 
-    prof = best[0]
-    return GrowthRow(d=d, sup_estimate=prof.g_value, argmax=prof.xi,
-                     evals=evals, seed=seed, tail_bound=prof.tail_bound,
-                     g_lower=prof.g_lower, sup_g_lower=sup_lower,
-                     envelope_share=len(prof.envelope_only) / len(prof.values))
+    return GrowthRow(d=d, sup_estimate=best.g_value, argmax=best.xi,
+                     evals=evals, seed=seed, tail_bound=best.tail_bound,
+                     g_lower=best.g_lower, sup_g_lower=sup_lower,
+                     envelope_share=len(best.envelope_only) / len(best.values))
 
 
 def log_growth_experiment(d_list=(1, 2, 4, 8, 16), budget: int = 1000,

@@ -106,6 +106,15 @@ def rho(x):
     return total if total.ndim else float(total)
 
 
+def _annulus_point(rng: np.random.Generator, d: int,
+                   lo: float = 1.0, hi: float = 2.0) -> np.ndarray:
+    """A normal direction dilated to a uniform norm in [lo, hi)."""
+    v = rng.standard_normal(d)
+    while not np.any(v):
+        v = rng.standard_normal(d)
+    return dilate(v, rng.uniform(lo, hi) / float(rho(v)))
+
+
 class BallVolume(NamedTuple):
     value: float
     stderr: float

@@ -87,8 +87,8 @@ def sample_positive_stable(gamma: float, rng: np.random.Generator, size=None):
 def sample_kernel_batch(space, t: float, n: int,
                         rng: np.random.Generator) -> tuple:
     """n kernel draws at scale t: points (n, d) plus per-level subordinators."""
-    if t <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {t}")
     x = np.empty((n, space.d))
     subs = {}
     for _, _, level, js in _blocks(space.d):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import pytest
@@ -106,7 +108,8 @@ def test_failures_exit_1(capsys, monkeypatch):
     def stub(ns, cfg, seed, quick):
         return [{"check": "stub", "passed": False}], {}, ["stub check failed"]
 
-    monkeypatch.setitem(cli._HANDLERS, "norm-eval", stub)
+    monkeypatch.setitem(cli._COMMANDS, "norm-eval",
+                        (stub, *cli._COMMANDS["norm-eval"][1:]))
     code, out, err = run_cli(capsys, "norm-eval", "--quick")
     assert code == 1
     doc = json.loads(out)
@@ -188,3 +191,70 @@ def test_config_values_are_not_coerced(capsys, tmp_path, values, args):
     assert code == 2
     assert "config error" in err
     assert "must be" in err
+
+
+# a valid quick invocation of each subcommand, and a flag it does not read
+UNREAD = {
+    "norm-eval": ((), "--budget", "80"),
+    "osc-corpus": ((), "--budget", "80"),
+    "sigma-hat": (("--xi", "0.5"), "--budget", "80"),
+    "kernel-verify": ((), "--budget", "80"),
+    "multiplier-sup": ((), "--d-list", "16"),
+    "log-growth": ((), "--d", "8"),
+    "maxop-check": ((), "--budget", "80"),
+    "accept": ((), "--budget", "80"),
+}
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_unread_flag_and_config_key_exit_2(capsys, tmp_path, command):
+    # both were dropped silently, and the run ended in PASS
+    base, flag, value = UNREAD[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *base, "--quick", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, _, err = run_cli(capsys, command, *base, "--quick",
+                           "--config", str(cfg))
+    assert code == 2
+    assert f"{command} reads no config key {key!r}" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("log-growth", "--d", "8"),      # was --d-list 8
+    ("log-growth", "--budg", "8"),   # was --budget 8
+    ("log-growth", "--d-l", "1,2"),  # was --d-list 1,2
+    ("accept", "--d", "99"),
+])
+def test_abbreviations_and_foreign_flags_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--quick"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(args[1:]) in \
+        capsys.readouterr().err
+
+
+def _resolved_keys(funcs, name):
+    """String keys the function passes to _resolve, itself or through the
+    module's functions it calls."""
+    keys = set()
+    for node in ast.walk(funcs[name]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "_resolve":
+                keys.add(node.args[2].value)
+            elif node.func.id in funcs:
+                keys |= _resolved_keys(funcs, node.func.id)
+    return keys
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_each_handler_reads_exactly_its_settings(command):
+    # a declared setting that no handler reads would be a flag that does nothing
+    funcs = {node.name: node for node in ast.parse(inspect.getsource(cli)).body
+             if isinstance(node, ast.FunctionDef)}
+    handler, _, settings = cli._COMMANDS[command]
+    assert _resolved_keys(funcs, handler.__name__) == set(settings)

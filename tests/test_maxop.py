@@ -53,6 +53,26 @@ def test_input_validation():
         poisson_max(f, [1.0], mc_samples=50)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_curve_average_rejects_non_finite_radius(r):
+    # nan and inf passed the r <= 0 guard and gave an all-zero grid
+    with pytest.raises(ValueError, match="finite"):
+        curve_average(constant_grid(), r)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_continuous_max_rejects_non_finite_radius(r):
+    with pytest.raises(ValueError, match="finite"):
+        continuous_max(constant_grid(), [0.5, r])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_poisson_max_rejects_non_finite_scale(t):
+    # nan gave zeros with rel_stderr 0 and no warning
+    with pytest.raises(ValueError, match="finite"):
+        poisson_max(constant_grid(), [t], mc_samples=100)
+
+
 def test_escape_warning_fires():
     f = constant_grid(n=33, span=1.0)
     with pytest.warns(RuntimeWarning, match="left the grid"):

@@ -101,6 +101,13 @@ def test_kernel_draws_scale_by_dilation():
     np.testing.assert_allclose(pts2, dilate(pts1, 2.0), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_kernel_draws_reject_non_finite_scale(t):
+    # nan and inf passed the t <= 0 guard and gave nan or inf points
+    with pytest.raises(ValueError, match="finite"):
+        sample_kernel_batch(make_space(2), t, 10, stream(9, 3))
+
+
 def test_kernel_marginal_characteristic_function():
     space = make_space(2)
     rng = stream(1, 3)

@@ -13,7 +13,6 @@ from .curve_measure import (
     DyadicWindow,
     gamma_reduce,
     mu_hat,
-    sigma_decay_envelope,
     sigma_hat,
     sigma_hat_dyadic,
     sigma_hat_upper_bound,
@@ -115,7 +114,6 @@ __all__ = [
     "sandwich_check",
     "semigroup_check",
     "shell_average",
-    "sigma_decay_envelope",
     "sigma_hat",
     "sigma_hat_dyadic",
     "sigma_hat_upper_bound",

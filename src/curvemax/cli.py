@@ -23,8 +23,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .acceptance import jsonable, preset, run, run_all
-from .curve_measure import (dyadic_phase_size, sigma_decay_envelope,
-                            sigma_hat_dyadic, sigma_hat_upper_bound)
+from .curve_measure import (dyadic_phase_size, sigma_hat_dyadic,
+                            sigma_hat_upper_bound)
 from .multiplier import log_growth_experiment, sup_search
 from .norms import (MAX_DIMENSION, ball_volume, make_space,
                     polar_integration_check, rho)
@@ -79,7 +79,8 @@ def _resolve(ns, cfg, key, default=None):
         val = cfg.get(key)
     if val is None:
         return default
-    cast = dict(_COMMANDS[ns.command][2], seed=int, quick=bool)[key]
+    cast = dict(_COMMANDS[ns.command][2], seed=int, quick=bool,
+                format=None)[key]
     return val if cast is None else _convert(val, cast, key)
 
 
@@ -276,16 +277,13 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
             bound = sigma_hat_upper_bound(xi, k)
         except ValueError as exc:
             raise ConfigError(f"--xi: {exc}")
-        env = sigma_decay_envelope(xi, k)
         val = None
         if 8.0 * dyadic_phase_size(xi, k) <= PANEL_CAP:
             try:
                 val = sigma_hat_dyadic(xi, k, tol=tol)
             except QuadratureError:
                 val = None
-        row = {"k": k, "quad_tol": tol, "certified_bound": bound,
-               # null where the envelope is unbounded, so the JSON stays strict
-               "envelope_scale": env if math.isfinite(env) else None}
+        row = {"k": k, "quad_tol": tol, "certified_bound": bound}
         if val is None:
             row.update({"abs": None, "real": None, "imag": None,
                         "passed": True})
@@ -430,7 +428,8 @@ def main(argv=None) -> int:
                               + ", ".join(map(repr, unread)))
         seed = _resolve_seed(ns, cfg)
         quick = _resolve(ns, cfg, "quick", default=False)
-        ns.resolved_format = ns.format or cfg.get("format") or default_format
+        ns.resolved_format = _resolve(ns, cfg, "format",
+                                      default=default_format)
         if ns.resolved_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, "
                               f"got {ns.resolved_format!r}")

@@ -8,10 +8,9 @@ sigma_hat at scale 2^k is sigma_hat(delta_{2^k} xi).
 
 Besides plain evaluation this module holds the profile's certified decay
 bound, min(1, G 2^{-k}, Remez sublevel plus monotone-piece estimate at its
-closed-form optimum delta'), derived above _kappa, and the heuristic
-envelope (max_j |xi_j 2^{kj}|)^{-1/d}.  The certified bound is
-keyed to the top nonzero index of xi, so zero-padded vectors get
-bit-identical treatment in any ambient dimension.
+closed-form optimum delta'), derived above _kappa.  The bound is keyed to
+the top nonzero index of xi, so zero-padded vectors get bit-identical
+treatment in any ambient dimension.
 """
 
 from __future__ import annotations
@@ -106,21 +105,6 @@ def _normal_frequency(xi) -> np.ndarray:
             raise ValueError(f"xi_{j} = {v:.3g} is subnormal; nonzero "
                              f"coordinates need |xi_j| >= {sys.float_info.min:.3g}")
     return xi
-
-
-def sigma_decay_envelope(xi, k: int) -> float:
-    """Heuristic majorant (max_j |xi_j 2^{kj}|)^{-1/d}, computed in logs;
-    inf where it leaves double range."""
-    xi = np.asarray(xi, dtype=float)
-    nz = np.nonzero(xi)[0]
-    if len(nz) == 0:
-        raise ValueError("decay envelope undefined for the zero vector")
-    js = nz + 1.0
-    log_max = float(np.max(np.log(np.abs(xi[nz])) + k * js * _LN2))
-    try:
-        return math.exp(-log_max / len(xi))
-    except OverflowError:  # unbounded at this scale, as in dyadic_phase_size
-        return math.inf
 
 
 def dyadic_phase_size(xi, k: int) -> float:

@@ -28,8 +28,10 @@ class GridFunction:
             raise ValueError("axis count mismatch between extent and samples")
         if not 1 <= samples.ndim <= 3:
             raise ValueError("grids support 1 <= d <= 3")
-        if any(s <= 0 for s in self.steps):
-            raise ValueError("steps must be positive")
+        if not all(np.isfinite(self.mins)):
+            raise ValueError("mins must be finite")
+        if not all(0.0 < s < np.inf for s in self.steps):
+            raise ValueError("steps must be positive and finite")
         if not np.all(np.isfinite(samples)) or np.any(samples < 0):
             raise ValueError("samples must be finite and nonnegative")
         object.__setattr__(self, "mins", tuple(float(v) for v in self.mins))

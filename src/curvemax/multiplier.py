@@ -92,11 +92,14 @@ def _lipschitz_coeffs(d: int) -> np.ndarray:
     return 4.0 * math.pi * (1.0 - 2.0 ** -(js + 1.0)) / (js + 1.0)
 
 
-def _small_scale_bound(xi, k: int, rho_xi: float, j_lo: int = 0) -> float:
-    """Upper bound for |nu_hat(delta_{2^k} xi)| in the small-argument regime.
+def _lower_tail_sq(xi, rho_xi: float, j_lo: int, k_first: int) -> float:
+    """Certified bound for sum_{k < k_first} of the squared entries.
 
-    Restricting to coordinates j > j_lo also bounds the sigma_hat difference
-    between xi and its truncation to the first j_lo coordinates.
+    b(k) = 2^k rho_xi + sum_{j > j_lo} L_j |xi_j| 2^{kj} bounds the entry at
+    scale k and at least halves per step down, so the sum is at most
+    4/3 b(k_first - 1)^2.  With j_lo = 0 and rho(xi) this is |nu_hat|; with
+    the first j_lo coordinates dropped and rho(xi) - rho(y) it bounds
+    |nu_hat(xi) - nu_hat(y)| for y, the truncation of xi to them.
     """
     xi = np.asarray(xi, dtype=float)
     # L_j < 8, so L_j xi_j overflows only for |xi_j| near the double maximum;
@@ -104,7 +107,9 @@ def _small_scale_bound(xi, k: int, rho_xi: float, j_lo: int = 0) -> float:
     scale = 8.0 if np.max(np.abs(xi)) > sys.float_info.max / 8.0 else 1.0
     weighted = _lipschitz_coeffs(len(xi)) * (xi / scale)
     weighted[:j_lo] = 0.0
-    return math.ldexp(rho_xi, k) + dyadic_phase_size(weighted, k) * scale
+    k = k_first - 1
+    b = math.ldexp(rho_xi, k) + dyadic_phase_size(weighted, k) * scale
+    return (4.0 / 3.0) * b ** 2
 
 
 def _upper_tail_sq(g_decay: float, rho_xi: float, k_last: int) -> float:
@@ -119,15 +124,36 @@ def _upper_tail_sq(g_decay: float, rho_xi: float, k_last: int) -> float:
     return (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi)
 
 
-def _window_edge(tail_sq, start: int, step: int, half_target: float,
+def _window_edge(tail_sq, start: int, step: int, tol: float,
                  where: str) -> int:
-    """Step k outward from start until tail_sq(k), the mass beyond it, fits."""
+    """Step k outward from start until tail_sq(k), the mass beyond it, is
+    at most tol^2 / 2."""
     k = start
-    while tail_sq(k) > half_target:
+    while tail_sq(k) > 0.5 * tol * tol:
         k += step
         if step * (k - start) > WINDOW_LIMIT:
             raise RuntimeError(f"window limit reached {where}")
     return k
+
+
+def _window_entries(vec, ks, rho_vec: float, tol: float):
+    """_entries over the window ks at quad_tol = tol / (8 sqrt(len(ks))),
+    which keeps the window's summed quadrature error within tol / 8;
+    returns (values, moduli, exact, quad_tol)."""
+    quad_tol = tol / (8.0 * math.sqrt(len(ks)))
+    return _entries(vec, ks, rho_vec, quad_tol) + (quad_tol,)
+
+
+def _profile_frequency(xi, tol: float):
+    """(xi as a float array, rho(xi)); ValueError for a subnormal coordinate,
+    the zero frequency or tol outside (0, 1)."""
+    xi = _normal_frequency(xi)
+    rho_xi = float(rho(xi))
+    if not rho_xi > 0.0:
+        raise ValueError("profile undefined at the zero frequency")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    return xi, rho_xi
 
 
 @dataclass(frozen=True)
@@ -144,28 +170,17 @@ class MultiplierProfile:
 
 def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
     """Evaluate the profile at one frequency with certified truncation tails."""
-    xi = _normal_frequency(xi)
-    rho_xi = float(rho(xi))
-    if not rho_xi > 0.0:
-        raise ValueError("profile undefined at the zero frequency")
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-
-    half_target = 0.5 * tol * tol
+    xi, rho_xi = _profile_frequency(xi, tol)
     k_center = int(round(-math.log2(rho_xi)))
-
-    def lower_tail_sq(k_first: int) -> float:
-        return (4.0 / 3.0) * _small_scale_bound(xi, k_first - 1, rho_xi) ** 2
-
+    lower_tail_sq = partial(_lower_tail_sq, xi, rho_xi, 0)
     upper_tail_sq = partial(_upper_tail_sq, _decay_prefactor(xi), rho_xi)
-    k_lo = _window_edge(lower_tail_sq, k_center, -1, half_target,
+    k_lo = _window_edge(lower_tail_sq, k_center, -1, tol,
                         "expanding the lower tail")
-    k_hi = _window_edge(upper_tail_sq, max(k_center, k_lo), 1, half_target,
+    k_hi = _window_edge(upper_tail_sq, max(k_center, k_lo), 1, tol,
                         "expanding the upper tail")
 
     ks = range(k_lo, k_hi + 1)
-    quad_tol = tol / (8.0 * math.sqrt(len(ks)))
-    zs, values, exact = _entries(xi, ks, rho_xi, quad_tol)
+    zs, values, exact, quad_tol = _window_entries(xi, ks, rho_xi, tol)
     reached = ~np.isnan(zs)
     lower_sq = 0.0
     for val in values[reached].tolist():
@@ -208,13 +223,10 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     Both pieces carry certified tails, mirroring the two-term estimate that
     drives the dimensional induction.
     """
-    xi = _normal_frequency(xi)
+    xi, rho_xi = _profile_frequency(xi, tol)
     d = len(xi)
     if d < 2 or d & (d - 1):
         raise ValueError("diagnostics need d = 2^n with n >= 1")
-    rho_xi = float(rho(xi))
-    if not rho_xi > 0.0:
-        raise ValueError("zero frequency")
 
     half = d // 2
     y = xi.copy()
@@ -232,33 +244,22 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     threshold = 1.0 / size
     k_split = math.floor(math.log2(threshold))
 
-    half_target = 0.5 * tol * tol
-
     # far piece: k > k_split, upper tail certified as in g_profile
     far_tail_sq = partial(_upper_tail_sq, _decay_prefactor(xi), rho_xi)
-    k_hi = _window_edge(far_tail_sq, k_split + 1, 1, half_target,
-                        "in the far term")
+    k_hi = _window_edge(far_tail_sq, k_split + 1, 1, tol, "in the far term")
     far_ks = range(k_split + 1, k_hi + 1)
-    zs, mags, _ = _entries(xi, far_ks, rho_xi,
-                           tol / (8.0 * math.sqrt(len(far_ks))))
+    zs, mags, _, _ = _window_entries(xi, far_ks, rho_xi, tol)
     far_sq = 0.0
     for v in mags.tolist():
         far_sq += v * v
     envelope = [k for k, z in zip(far_ks, zs) if np.isnan(z)]
 
     # near piece: k <= k_split, difference against the truncated frequency
-    gap = rho_xi - rho_y
-
-    def near_tail_sq(k_first: int) -> float:
-        osc = _small_scale_bound(xi, k_first - 1, 0.0, j_lo=half)
-        return (4.0 / 3.0) * (osc + math.ldexp(gap, k_first - 1)) ** 2
-
-    k_lo = _window_edge(near_tail_sq, k_split, -1, half_target,
-                        "in the near term")
+    near_tail_sq = partial(_lower_tail_sq, xi, rho_xi - rho_y, half)
+    k_lo = _window_edge(near_tail_sq, k_split, -1, tol, "in the near term")
     near_ks = range(k_lo, k_split + 1)
-    quad_tol = tol / (8.0 * math.sqrt(len(near_ks)))
-    zx, vx, _ = _entries(xi, near_ks, rho_xi, quad_tol)
-    zy, vy, _ = _entries(y, near_ks, rho_y, quad_tol)
+    zx, vx, _, _ = _window_entries(xi, near_ks, rho_xi, tol)
+    zy, vy, _, _ = _window_entries(y, near_ks, rho_y, tol)
     near_sq = 0.0
     for k, a, b, va, vb in zip(near_ks, zx.tolist(), zy.tolist(),
                                vx.tolist(), vy.tolist()):

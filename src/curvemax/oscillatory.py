@@ -99,6 +99,8 @@ def osc_integral(p: PhasePoly, a: float, b: float,
     """Evaluate int_a^b exp(i p(t)) dt to absolute tolerance tol."""
     if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
         raise ValueError("need finite a < b")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if p.degree == 0 or not any(p.coeffs):
         return (b - a) * np.exp(1j * p.constant)
 

@@ -154,7 +154,8 @@ def test_sigma_hat_bound_at_huge_coordinates(capsys):
 
 @pytest.mark.parametrize("xi, k", [("1,1", "-3000"), ("1e-300", "-1100")])
 def test_sigma_hat_row_where_the_envelope_is_unbounded(capsys, xi, k):
-    # exp(-log_max / d) raised OverflowError instead of emitting the row
+    # this far below k = 0 the decay terms leave double range; the row must
+    # still be emitted, as strict JSON, with the trivial bound
     code, out, _ = run_cli(capsys, "sigma-hat", "--xi", xi,
                            "--k-lo", k, "--k-hi", k)
     assert code == 0
@@ -164,7 +165,6 @@ def test_sigma_hat_row_where_the_envelope_is_unbounded(capsys, xi, k):
 
     (row,) = json.loads(out, parse_constant=reject)["rows"]
     assert row["certified_bound"] == 1.0
-    assert row["envelope_scale"] is None
 
 
 def test_json_meta_carries_resolved_parameters(capsys):
@@ -191,6 +191,18 @@ def test_config_values_are_not_coerced(capsys, tmp_path, values, args):
     assert code == 2
     assert "config error" in err
     assert "must be" in err
+
+
+@pytest.mark.parametrize("fmt", [False, "", 0])
+def test_falsy_config_format_exits_2(capsys, tmp_path, fmt):
+    # a falsy format fell back to the default and the run went ahead
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": fmt, "quick": True}))
+    code, out, err = run_cli(capsys, "norm-eval", "--d", "1",
+                             "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"format must be csv or json, got {fmt!r}" in err
 
 
 # a valid quick invocation of each subcommand, and a flag it does not read

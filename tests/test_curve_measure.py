@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from curvemax.curve_measure import (CurveCoeffs, DyadicWindow,
-                                    dyadic_phase_size, mu_hat,
-                                    sigma_decay_envelope, sigma_hat,
+                                    dyadic_phase_size, mu_hat, sigma_hat,
                                     sigma_hat_dyadic, sigma_hat_upper_bound,
                                     top_index, _decay_prefactor)
 from curvemax.norms import dilate, rho
@@ -141,20 +140,6 @@ def test_certified_bound_rejects_subnormal_coordinates(xi):
     # exact dilation [0, 1] at k = 3
     with pytest.raises(ValueError, match="is subnormal"):
         sigma_hat_upper_bound(xi, 540)
-
-
-def test_envelope_positive_and_monotone_in_scale():
-    xi = np.array([2.0, 1.0])
-    envs = [sigma_decay_envelope(xi, k) for k in range(0, 6)]
-    assert all(e > 0 for e in envs)
-    assert all(a >= b for a, b in zip(envs, envs[1:]))
-    with pytest.raises(ValueError):
-        sigma_decay_envelope(np.zeros(2), 0)
-
-
-@pytest.mark.parametrize("xi, k", [([1.0, 1.0], -3000), ([1e-300], -1100)])
-def test_envelope_overflow_is_inf(xi, k):
-    assert sigma_decay_envelope(np.array(xi), k) == math.inf
 
 
 def test_decay_prefactor_at_the_top_of_double_range():

@@ -35,6 +35,16 @@ def test_validation():
         from_callable(lambda p: np.ones(len(p)), (0,) * 4, (1,) * 4, (3,) * 4)
 
 
+@pytest.mark.parametrize("mins, steps", [
+    ((0.0,), (np.nan,)),   # gave an all-zero curve average
+    ((0.0,), (np.inf,)),   # gave an all-ones curve average
+    ((np.nan,), (0.5,)),
+], ids=["nan-step", "inf-step", "nan-min"])
+def test_rejects_non_finite_extent(mins, steps):
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(mins=mins, steps=steps, samples=np.ones(3))
+
+
 def test_shift_exact_on_linear_data():
     # multilinear interpolation reproduces affine functions away from the edge
     f = from_callable(lambda p: 3.0 + p[:, 0], -2.0, 2.0, (41,))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvemax.multiplier import (g_profile, induction_diagnostics,
                                  log_growth_experiment, nu_hat, sup_search)
@@ -55,6 +56,21 @@ def test_lower_bound_never_exceeds_value():
         assert prof.tail_bound >= 0.0
 
 
+# nonzero coordinates in [-8, 8], kept off zero so the windows stay short
+_COORD = st.one_of(st.floats(1e-3, 8.0), st.floats(-8.0, -1e-3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(xi=st.lists(_COORD, min_size=1, max_size=4))
+def test_bracket_and_dilation_invariance_property(xi):
+    a = g_profile(np.array(xi), tol=2e-3)
+    b = g_profile(dilate(np.array(xi), 2.0), tol=2e-3)
+    assert a.g_lower <= a.g_value
+    assert b.g_lower <= b.g_value
+    # criterion 6's allowance: g is delta_2-invariant up to the two tails
+    assert abs(a.g_value - b.g_value) <= a.tail_bound + b.tail_bound
+
+
 def test_dyadic_dilation_invariance():
     rng = np.random.default_rng(6)
     for _ in range(8):
@@ -94,6 +110,16 @@ def test_growth_table_monotone_and_fits():
                for r in table.rows)
     assert np.isfinite(table.fit_slope)
     assert len(table.residuals) == 3
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -2e-3, 1.0, 5.0])
+@pytest.mark.parametrize("func", [g_profile, induction_diagnostics],
+                         ids=["g_profile", "induction_diagnostics"])
+def test_tolerance_outside_unit_interval_is_rejected(func, tol):
+    # induction_diagnostics took nan to an infinite far tail and a negative
+    # tol to a near term of 5.88
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        func(np.array([0.7, 1.3]), tol=tol)
 
 
 def test_induction_diagnostics_structure():

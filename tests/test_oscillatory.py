@@ -28,6 +28,14 @@ def test_linear_phase_closed_form():
         assert val == pytest.approx(2.0 * np.sinc(b / np.pi), abs=1e-11)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_rejects_tolerance_outside_finite_positive(tol):
+    # tol <= 0 refined up to the panel cap before failing, nan failed as a
+    # QuadratureError and inf returned an unrefined value
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        osc_integral(PhasePoly((0.0, 10.0)), 0.0, 1.0, tol=tol)
+
+
 def test_constant_term_only_rotates():
     p0 = PhasePoly((3.0, -2.0, 0.7))
     p1 = PhasePoly((3.0, -2.0, 0.7), constant=1.234)

@@ -7,10 +7,13 @@ standard error.  ``CRITERIA`` holds one row per criterion: its number, name,
 experiment and two parameter sets, full and quick.  ``run(name, seed,
 quick, **overrides)`` runs one criterion at a preset, times it and wraps the
 outcome in a CriterionResult.  Quick mode shrinks sample counts and budgets
-but never loosens a tolerance or swaps out the logic under test.  The CLI
-subcommands call ``run`` with their flags as overrides, so a subcommand and
-its criterion report the same numbers.  A fixed seed reproduces every number
-bit for bit; the final criterion checks exactly that.
+but never loosens a tolerance or swaps out the logic under test.  Every CLI
+subcommand except ``sigma-hat`` is a binding of ``run``: its flags are
+overrides and its verdict is the criterion's, so a subcommand and its
+criterion report the same numbers.  Criterion 1 holds the polar and
+unit-ball checks of ``norm-eval``, and criterion 7 the growth table of
+``log-growth`` and ``multiplier-sup``, one row per dimension.  A fixed seed
+reproduces every number bit for bit; the final criterion checks exactly that.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .grid import from_callable
 from .maxop import sandwich_check, split_check
 from .multiplier import (g_profile, induction_diagnostics,
                          log_growth_experiment, nu_hat)
-from .norms import (_annulus_point, dilate, make_space,
-                    quasi_triangle_ratio, rho)
+from .norms import (_annulus_point, ball_volume, dilate, make_space,
+                    polar_integration_check, quasi_triangle_ratio, rho)
 from .oscillatory import (PhasePoly, sublevel_measure, vdc_bound_check,
                           vinogradov_check)
 from .rng import family_stream
@@ -75,8 +78,10 @@ def jsonable(x):
 
 # -- criterion 1 -------------------------------------------------------------
 
-def norm_axioms(seed: int, dims, trials: int) -> tuple:
-    """Homogeneity and symmetry to 1e-12 relative, quasi-triangle ratio <= 2."""
+def norm_axioms(seed: int, dims, trials: int, polar_grid: int,
+                ball_samples: int) -> tuple:
+    """Homogeneity and symmetry to 1e-12 relative, quasi-triangle ratio <= 2;
+    at d <= 2 the polar reconstruction and the unit-ball volume (4 sigma)."""
     tol = 1e-12
     per_d = {}
     passed = True
@@ -89,9 +94,22 @@ def norm_axioms(seed: int, dims, trials: int) -> tuple:
         sym = float(np.max(np.abs(rho(-x) - r) / r))
         quasi = quasi_triangle_ratio(make_space(d), trials=trials, seed=seed)
         ok = hom <= tol and sym <= tol and quasi <= 2.0
-        passed = passed and ok
         per_d[d] = {"homogeneity_max": hom, "symmetry_max": sym,
                     "rel_tol": tol, "quasi_ratio": quasi, "quasi_limit": 2.0}
+        if d <= 2:
+            space = make_space(d)
+            pol = polar_integration_check(space, lambda p: np.exp(-rho(p)),
+                                          tol=5e-2, grid_n=polar_grid)
+            bv = ball_volume(space, 1.0, samples=ball_samples, seed=seed)
+            exact = 2.0 if d == 1 else 4.0 / 3.0
+            ball_ok = abs(bv.value - exact) <= max(4.0 * bv.stderr, 1e-12)
+            per_d[d].update(
+                polar={"value": pol.lhs, "reference": pol.rhs,
+                       "disc_error": pol.disc_error, "passed": pol.passed},
+                unit_ball_volume={"value": bv.value, "stderr": bv.stderr,
+                                  "reference": exact, "passed": ball_ok})
+            ok = ok and pol.passed and ball_ok
+        passed = passed and ok
     return passed, {"trials_per_dim": trials, "per_dimension": per_d}
 
 
@@ -336,10 +354,16 @@ def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
 
 # -- criterion 7 -------------------------------------------------------------
 
-def log_growth(seed: int, d_list, budget: int, ind_dims,
+def log_growth(seed: int, d_list, budget: int, tol: float, ind_dims,
                per_dim: int) -> tuple:
-    """Monotone sup estimates, bounded ratio to log(d+2), induction terms."""
-    table = log_growth_experiment(d_list, budget=budget, seed=seed, tol=2e-3)
+    """Monotone sup estimates, bounded ratio to log(d+2), induction terms;
+    one row per dimension holds its sup search."""
+    table = log_growth_experiment(d_list, budget=budget, seed=seed, tol=tol)
+    rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
+             "g_lower": row.g_lower, "sup_g_lower": row.sup_g_lower,
+             "envelope_share": row.envelope_share,
+             "tail_bound": row.tail_bound, "evals": row.evals,
+             "argmax": row.argmax} for row in table.rows]
     sups = [row.sup_estimate for row in table.rows]
     monotone = all(b >= a for a, b in zip(sups[:-1], sups[1:]))
     ratios = [s / math.log(d + 2.0) for s, d in zip(sups, d_list)]
@@ -350,19 +374,15 @@ def log_growth(seed: int, d_list, budget: int, ind_dims,
     for d in ind_dims:
         rng = family_stream(seed, "induction", d)
         for _ in range(per_dim):
-            diag = induction_diagnostics(_annulus_point(rng, d), tol=2e-3)
+            diag = induction_diagnostics(_annulus_point(rng, d), tol=tol)
             max_far = max(max_far, diag.term_far + diag.term_far_tail)
             max_near = max(max_near, diag.term_near + diag.term_near_tail)
     terms_ok = (math.isfinite(max_far) and math.isfinite(max_near)
                 and max_far <= 100.0 and max_near <= 100.0)
 
     details = {
-        "d_list": list(d_list), "budget": budget,
-        "sup_estimates": sups,
-        "g_lower": [row.g_lower for row in table.rows],
-        "sup_g_lower": [row.sup_g_lower for row in table.rows],
-        "envelope_share": [row.envelope_share for row in table.rows],
-        "tail_bounds": [row.tail_bound for row in table.rows],
+        "d_list": list(d_list), "budget": budget, "profile_tol": tol,
+        "rows": rows,
         "monotone": monotone,
         "ratio_to_log": ratios,
         "ratio_spread": {"value": spread, "limit": 3.0},
@@ -477,8 +497,9 @@ def determinism(seed: int) -> tuple:
 # Each criterion's experiment with its full parameters, then what quick changes.
 CRITERIA = (
     Criterion(1, "norm-axioms", norm_axioms,
-              {"dims": (1, 2, 3, 4, 8, 16, 32, 64), "trials": 10**4},
-              {"trials": 1000}),
+              {"dims": (1, 2, 3, 4, 8, 16, 32, 64), "trials": 10**4,
+               "polar_grid": 1024, "ball_samples": 10**6},
+              {"trials": 1000, "polar_grid": 512, "ball_samples": 10**5}),
     Criterion(2, "closed-form-oracles", closed_forms,
               {"n_freq": 100, "n_pts": 50}, {"n_freq": 25, "n_pts": 15}),
     Criterion(3, "kernel-certification", kernel_certification,
@@ -496,7 +517,7 @@ CRITERIA = (
                "n_env": 60},
               {"n_oracle": 4, "per_dim": 3, "n_env": 20}),
     Criterion(7, "log-growth", log_growth,
-              {"d_list": (1, 2, 4, 8, 16), "budget": 1000,
+              {"d_list": (1, 2, 4, 8, 16), "budget": 1000, "tol": 2e-3,
                "ind_dims": (2, 4, 8, 16), "per_dim": 100},
               {"d_list": (1, 2, 4, 8), "budget": 120, "ind_dims": (2, 4, 8),
                "per_dim": 20}),

@@ -5,8 +5,9 @@ or to --out, plus a human summary on stderr.  Identical flags and seed give
 byte-identical artifacts apart from the timestamp field.  Reported numbers
 always travel with a tolerance or standard-error column, and the header
 records how per-task random streams derive from the master seed.
-Subcommands named after a criterion call ``acceptance.run`` on it; their
-flags override parameters of its quick or full preset.
+Every subcommand but ``sigma-hat``, which evaluates one given input, runs
+its criterion through ``acceptance.run`` and takes the criterion's verdict;
+its flags override parameters of the criterion's quick or full preset.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ import numpy as np
 from .acceptance import jsonable, preset, run, run_all
 from .curve_measure import (dyadic_phase_size, sigma_hat_dyadic,
                             sigma_hat_upper_bound)
-from .multiplier import log_growth_experiment, sup_search
-from .norms import (MAX_DIMENSION, ball_volume, make_space,
-                    polar_integration_check, rho)
+from .norms import MAX_DIMENSION, rho
 from .oscillatory import PANEL_CAP, QuadratureError
 from .rng import SEED_DERIVATION
 
@@ -221,26 +220,6 @@ def cmd_norm_eval(ns, cfg, seed, quick):
     crit = run("norm-axioms", seed, quick, dims=(d,))
     crit_rows, failures = _criterion_rows([crit])
     rows += crit_rows
-
-    if d <= 2:
-        space = make_space(d)
-        pol = polar_integration_check(space, lambda p: np.exp(-rho(p)),
-                                      tol=5e-2, grid_n=512 if quick else 1024)
-        rows.append({"check": "polar-reconstruction", "value": pol.lhs,
-                     "reference": pol.rhs, "disc_error": pol.disc_error,
-                     "passed": pol.passed})
-        if not pol.passed:
-            failures.append("polar reconstruction drifted beyond its "
-                            f"discretization error at d={d}")
-        bv = ball_volume(space, 1.0, samples=10**5 if quick else 10**6,
-                         seed=seed)
-        exact = 2.0 if d == 1 else 4.0 / 3.0
-        ok = abs(bv.value - exact) <= max(4.0 * bv.stderr, 1e-12)
-        rows.append({"check": "unit-ball-volume", "value": bv.value,
-                     "stderr": bv.stderr, "reference": exact, "passed": ok})
-        if not ok:
-            failures.append(f"unit ball volume {bv.value:.6f} further than "
-                            f"4 sigma from {exact:.6f} at d={d}")
     return rows, {"d": d, "trials": crit.details["trials_per_dim"]}, failures
 
 
@@ -312,51 +291,39 @@ def cmd_kernel_verify(ns, cfg, seed, quick):
     return rows, {"d": d, "samples": samples}, failures
 
 
-def _search_settings(ns, cfg, quick):
-    """Budget and profile tolerance of the sup searches, as in criterion 7."""
-    budget = _resolve(ns, cfg, "budget",
-                      default=preset("log-growth", quick)["budget"])
+def _growth_table(ns, cfg, seed, quick, d_list):
+    """Criterion 7's sup searches over d_list without its induction terms:
+    one row per dimension, the criterion's verdict."""
+    defaults = preset("log-growth", quick)
+    budget = _resolve(ns, cfg, "budget", default=defaults["budget"])
     if budget < 4:
         raise ConfigError("budget must be >= 4")
     # g_profile accepts tolerances in (0, 1)
-    tol = _check_tol(_resolve(ns, cfg, "tol", default=2e-3), 1.0)
-    return budget, tol
+    tol = _check_tol(_resolve(ns, cfg, "tol", default=defaults["tol"]), 1.0)
+    crit = run("log-growth", seed, quick, d_list=d_list, budget=budget,
+               tol=tol, ind_dims=(), per_dim=0)
+    _criterion_rows([crit])  # the stderr line; the rows are the table
+    det = crit.details
+    failures = [] if crit.passed else [
+        f"criterion 7 (log-growth) failed: monotone {det['monotone']}, "
+        f"ratio spread {det['ratio_spread']}"]
+    rows = [{**row, "seed": seed} for row in det["rows"]]
+    meta = {"budget": budget, "profile_tol": det["profile_tol"],
+            "fit_slope": det["fit_slope"],
+            "fit_intercept": det["fit_intercept"]}
+    return rows, meta, failures
 
 
 def cmd_multiplier_sup(ns, cfg, seed, quick):
     d = _check_dim(_resolve(ns, cfg, "d", default=2))
-    budget, tol = _search_settings(ns, cfg, quick)
-    row = sup_search(d, budget=budget, seed=seed, tol=tol)
-    ok = math.isfinite(row.sup_estimate) and row.g_lower <= row.sup_estimate
-    rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
-             "g_lower": row.g_lower, "sup_g_lower": row.sup_g_lower,
-             "tail_bound": row.tail_bound,
-             "profile_tol": tol, "evals": row.evals, "seed": row.seed,
-             "argmax": list(row.argmax), "passed": ok}]
-    failures = [] if ok else [f"sup estimate not finite at d={d}"]
-    return rows, {"budget": budget}, failures
+    return _growth_table(ns, cfg, seed, quick, (d,))
 
 
 def cmd_log_growth(ns, cfg, seed, quick):
     d_list = _resolve(ns, cfg, "d_list")
     d_list = (preset("log-growth", quick)["d_list"] if d_list is None
               else tuple(map(_check_dim, _parse_list(d_list, int))))
-    budget, tol = _search_settings(ns, cfg, quick)
-    table = log_growth_experiment(d_list, budget=budget, seed=seed, tol=tol)
-    rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
-             "tail_bound": row.tail_bound, "evals": row.evals,
-             "seed": row.seed, "argmax": list(row.argmax),
-             "g_lower": row.g_lower, "sup_g_lower": row.sup_g_lower}
-            for row in table.rows]
-    sups = [r["sup_estimate"] for r in rows]
-    failures = []
-    if any(b < a for a, b in zip(sups[:-1], sups[1:])):
-        failures.append("sup estimates not monotone under padding embedding")
-    if not all(map(math.isfinite, sups)):
-        failures.append("non-finite sup estimate")
-    meta = {"budget": budget, "profile_tol": tol,
-            "fit_slope": table.fit_slope, "fit_intercept": table.fit_intercept}
-    return rows, meta, failures
+    return _growth_table(ns, cfg, seed, quick, d_list)
 
 
 def cmd_maxop_check(ns, cfg, seed, quick):

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridFunction
-from .oscillatory import PhasePoly, osc_integral
+from .oscillatory import PhasePoly, _require_tol, osc_integral
 
 _LN2 = math.log(2.0)
 
@@ -67,6 +67,7 @@ def top_index(xi) -> int:
 
 def sigma_hat(xi, tol: float = 1e-10) -> complex:
     """Transform of the shell measure: int_{1/2<|t|<=1} e^{-2 pi i xi.curve(t)} dt."""
+    _require_tol(tol)
     xi = np.asarray(xi, dtype=float)
     j_top = top_index(xi)
     if j_top == 0:
@@ -78,6 +79,7 @@ def sigma_hat(xi, tol: float = 1e-10) -> complex:
 
 def mu_hat(xi, tol: float = 1e-10) -> complex:
     """Transform of the solid average: (1/2) int_{|t|<=1} e^{-2 pi i xi.curve(t)} dt."""
+    _require_tol(tol)
     xi = np.asarray(xi, dtype=float)
     j_top = top_index(xi)
     if j_top == 0:

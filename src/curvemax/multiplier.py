@@ -32,7 +32,7 @@ from .curve_measure import (DyadicWindow, dyadic_phase_size, sigma_hat_dyadic,
                             sigma_hat_upper_bound, top_index, _decay_prefactor,
                             _normal_frequency)
 from .norms import _annulus_point, rho
-from .oscillatory import QuadratureError
+from .oscillatory import QuadratureError, _require_tol
 from .rng import family_stream
 
 WINDOW_LIMIT = 200
@@ -42,6 +42,7 @@ PRACTICAL_PANEL_CAP = 1 << 16
 def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
     """sigma_hat(delta_{2^k} xi) - exp(-2^k rho(xi)); QuadratureError where
     only the certified envelope reaches."""
+    _require_tol(tol)
     xi = np.asarray(xi, dtype=float)
     z = complex(_entries(xi, (k,), float(rho(xi)), tol)[0][0])
     if cmath.isnan(z):
@@ -300,7 +301,7 @@ class GrowthTable:
     residuals: tuple
 
 
-def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
+def sup_search(d: int, budget: int = 1000, seed: int = 0, *, tol: float,
                extra_starts=()) -> GrowthRow:
     """Deterministic random multistart plus compass refinement for sup g.
 
@@ -363,7 +364,7 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, tol: float = 2e-3,
 
 
 def log_growth_experiment(d_list=(1, 2, 4, 8, 16), budget: int = 1000,
-                          seed: int = 0, tol: float = 2e-3) -> GrowthTable:
+                          seed: int = 0, *, tol: float) -> GrowthTable:
     """sup g across dimensions with a log fit.
 
     Each dimension's search is seeded with the previous argmax zero-padded to

@@ -94,13 +94,18 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, bad: np.ndarray):
             np.concatenate([hi[~bad], mid, hi[bad]]))
 
 
+def _require_tol(tol: float) -> None:
+    """The rule at every public tol entry: finite and positive."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def osc_integral(p: PhasePoly, a: float, b: float,
                  tol: float = 1e-10) -> complex:
     """Evaluate int_a^b exp(i p(t)) dt to absolute tolerance tol."""
     if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
         raise ValueError("need finite a < b")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _require_tol(tol)
     if p.degree == 0 or not any(p.coeffs):
         return (b - a) * np.exp(1j * p.constant)
 

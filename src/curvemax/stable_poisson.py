@@ -24,6 +24,7 @@ import numpy as np
 from scipy import integrate
 
 from .norms import dilate, make_space, rho, _blocks
+from .oscillatory import _require_tol
 from .rng import STREAMS, stream
 
 
@@ -33,6 +34,7 @@ def stable_density_1d(beta: float, x: float, tol: float = 1e-10) -> float:
     Inverts 2 int_0^inf exp(-u^beta) cos(2 pi u x) du with an oscillation-aware
     rule and an explicit truncation bound 2 exp(-U^beta) / (beta U^{beta-1}).
     """
+    _require_tol(tol)
     if not 1.0 <= beta <= 2.0:
         raise ValueError("beta must lie in [1, 2]")
     cutoff = max(5.0, (-math.log(tol / 8.0)) ** (1.0 / beta) + 2.0)

@@ -250,23 +250,40 @@ def test_abbreviations_and_foreign_flags_exit_2(capsys, args):
         capsys.readouterr().err
 
 
-def _resolved_keys(funcs, name):
-    """String keys the function passes to _resolve, itself or through the
+CLI_TREE = ast.parse(inspect.getsource(cli))
+CLI_FUNCS = {node.name: node for node in CLI_TREE.body
+             if isinstance(node, ast.FunctionDef)}
+
+
+def _reached_calls(name):
+    """Calls by bare name that the function makes, itself or through the
     module's functions it calls."""
-    keys = set()
-    for node in ast.walk(funcs[name]):
+    calls = []
+    for node in ast.walk(CLI_FUNCS[name]):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "_resolve":
-                keys.add(node.args[2].value)
-            elif node.func.id in funcs:
-                keys |= _resolved_keys(funcs, node.func.id)
-    return keys
+            calls.append(node)
+            if node.func.id in CLI_FUNCS:
+                calls += _reached_calls(node.func.id)
+    return calls
 
 
 @pytest.mark.parametrize("command", cli._COMMANDS)
 def test_each_handler_reads_exactly_its_settings(command):
     # a declared setting that no handler reads would be a flag that does nothing
-    funcs = {node.name: node for node in ast.parse(inspect.getsource(cli)).body
-             if isinstance(node, ast.FunctionDef)}
     handler, _, settings = cli._COMMANDS[command]
-    assert _resolved_keys(funcs, handler.__name__) == set(settings)
+    keys = {call.args[2].value for call in _reached_calls(handler.__name__)
+            if call.func.id == "_resolve"}
+    assert keys == set(settings)
+
+
+@pytest.mark.parametrize("command",
+                         [c for c in cli._COMMANDS if c != "sigma-hat"])
+def test_each_experiment_handler_runs_its_criterion(command):
+    # log-growth and multiplier-sup reran criterion 7's searches with verdicts
+    # of their own; run_all runs every criterion through run
+    handler = cli._COMMANDS[command][0]
+    called = {call.func.id for call in _reached_calls(handler.__name__)}
+    assert called & {"run", "run_all"}
+    assert not [node for node in ast.walk(CLI_TREE)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("multiplier", "curvemax.multiplier")]

@@ -60,7 +60,7 @@ def test_lower_bound_never_exceeds_value():
 _COORD = st.one_of(st.floats(1e-3, 8.0), st.floats(-8.0, -1e-3))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=25)
 @given(xi=st.lists(_COORD, min_size=1, max_size=4))
 def test_bracket_and_dilation_invariance_property(xi):
     a = g_profile(np.array(xi), tol=2e-3)
@@ -102,7 +102,8 @@ def test_sup_search_dominates_dense_grid():
 
 
 def test_growth_table_monotone_and_fits():
-    table = log_growth_experiment(d_list=(1, 2, 4), budget=120, seed=0)
+    table = log_growth_experiment(d_list=(1, 2, 4), budget=120, seed=0,
+                                  tol=2e-3)
     sups = [r.sup_estimate for r in table.rows]
     assert sups == sorted(sups)
     assert all(np.isfinite(r.sup_estimate) for r in table.rows)

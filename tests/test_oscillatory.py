@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import special
 
+from curvemax.curve_measure import mu_hat, sigma_hat
+from curvemax.multiplier import nu_hat
 from curvemax.oscillatory import (MAX_DEGREE, PhasePoly, osc_integral,
                                   sublevel_measure, vdc_bound_check,
                                   vinogradov_check)
+from curvemax.stable_poisson import stable_density_1d
 
 
 def fresnel_reference(lam):
@@ -34,6 +39,26 @@ def test_rejects_tolerance_outside_finite_positive(tol):
     # QuadratureError and inf returned an unrefined value
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         osc_integral(PhasePoly((0.0, 10.0)), 0.0, 1.0, tol=tol)
+
+
+# public entries that answer without quadrature, or halve tol before it
+TOL_ENTRIES = {
+    "nu_hat-linear": lambda tol: nu_hat((0.5,), 0, tol),
+    "nu_hat-general": lambda tol: nu_hat((0.7, 1.3), 0, tol),
+    "sigma_hat-zero": lambda tol: sigma_hat((0.0,), tol),
+    "mu_hat-zero": lambda tol: mu_hat((0.0,), tol),
+    "stable_density_1d": lambda tol: stable_density_1d(1.5, 0.3, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+@pytest.mark.parametrize("entry", TOL_ENTRIES)
+def test_every_tolerance_entry_rejects_and_names_the_callers_value(entry, tol):
+    # nu_hat's closed form, the zero-frequency shortcuts and the density
+    # returned numbers; sigma_hat's message named tol / 2
+    with pytest.raises(ValueError, match=re.escape(
+            f"tol must be finite and positive, got {tol}")):
+        TOL_ENTRIES[entry](tol)
 
 
 def test_constant_term_only_rotates():

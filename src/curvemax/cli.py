@@ -94,6 +94,8 @@ def _resolve_seed(ns, cfg):
 
 def _parse_list(text, cast) -> tuple:
     items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    if not items:
+        raise ConfigError(f"expected at least one entry, got {text!r}")
     return tuple(_convert(t, cast, f"each entry of {text!r}") for t in items)
 
 

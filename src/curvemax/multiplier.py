@@ -15,7 +15,9 @@ in the profile, in both induction terms and in nu_hat, comes from _entries:
 closed form for a linear phase, quadrature while the total phase variation
 is affordable, and otherwise the certified upper bound itself, marked
 envelope-only, so the reported g never silently drops mass (it may only
-overshoot, and g_lower tracks the quadrature-only certified floor).
+overshoot, and g_lower tracks the quadrature-only certified floor).  A
+window's quadrature entries take one pass of the panel engine over its
+dyadic shells (see _entries).
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from functools import partial
 
 import numpy as np
 
-from .curve_measure import (DyadicWindow, dyadic_phase_size, sigma_hat_dyadic,
+from .curve_measure import (DyadicWindow, dyadic_phase_size,
                             sigma_hat_upper_bound, top_index, _decay_prefactor,
-                            _normal_frequency)
+                            _normal_frequency, _phase)
 from .norms import _annulus_point, rho
-from .oscillatory import QuadratureError, _require_tol
+from .oscillatory import QuadratureError, _require_tol, osc_integrals
 from .rng import family_stream
 
 WINDOW_LIMIT = 200
@@ -64,26 +66,39 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
     every ambient dimension.  General phases use quadrature while the total
     phase variation stays affordable; elsewhere, or when quadrature fails,
     the value is nan and the modulus is the certified envelope.
+
+    Quadrature takes one osc_integrals call: with m = k - k0,
+    sigma_hat(delta_{2^k} vec) = 2^-m int_{2^{m-1} < |s| <= 2^m} e^{i phi(s)}
+    ds for phi the phase of delta_{2^k0} vec, k0 = round(-log2 rho(vec))
+    keeping its coefficients near unit size.  Shell k is group k, at tol
+    2^m quad_tol; a group's result does not depend on the others, so
+    nu_hat(vec, k) equals the window's entry bit for bit.
     """
     exact = top_index(vec) <= 1
+    p_hat = np.array([_poisson_hat(k, rho_vec) for k in ks])
     values = np.full(len(ks), np.nan, dtype=complex)
-    mags = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        p_hat = _poisson_hat(k, rho_vec)
-        z = None
-        if exact:
+    if exact:
+        for i, k in enumerate(ks):
             eta = math.ldexp(vec[0], k)
-            z = complex(2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat)
-        elif 8.0 * dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP:
-            try:
-                z = sigma_hat_dyadic(vec, k, tol=quad_tol) - p_hat
-            except QuadratureError:
-                pass
-        if z is None:
-            mags[i] = min(2.0, sigma_hat_upper_bound(vec, k) + p_hat)
-        else:
-            values[i] = z
-            mags[i] = abs(z)
+            values[i] = 2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat[i]
+    else:
+        quad = np.array([i for i, k in enumerate(ks) if 8.0 *
+                         dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP],
+                        dtype=int)
+        k0 = int(round(-math.log2(rho_vec)))
+        m = np.array(ks)[quad] - k0
+        outer = np.ldexp(1.0, m)
+        j_top = top_index(vec)
+        sums = osc_integrals(
+            _phase(np.ldexp(vec[:j_top], k0 * np.arange(1, j_top + 1))),
+            np.concatenate([0.5 * outer, -outer]),
+            np.concatenate([outer, -0.5 * outer]),
+            np.tile(np.arange(len(quad)), 2), outer * quad_tol)
+        values[quad] = (np.ldexp(sums.real, -m) + 1j * np.ldexp(sums.imag, -m)
+                        - p_hat[quad])
+    mags = np.array([abs(z) for z in values.tolist()])
+    for i in np.flatnonzero(np.isnan(mags)).tolist():
+        mags[i] = min(2.0, sigma_hat_upper_bound(vec, ks[i]) + p_hat[i])
     return values, mags, exact
 
 

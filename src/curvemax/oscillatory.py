@@ -1,26 +1,47 @@
 """Oscillatory integrals of polynomial phases and sublevel estimates.
 
-The quadrature strategy is deliberately plain: split the interval at the real
-roots of p' and p'' so the phase is monotone per piece, bisect panels until
-each spans less than pi/2 of phase, then apply fixed Gauss-Legendre rules.
-Error is estimated panel-wise by comparing the 16-point and 8-point rules and
-offending panels are split until the global estimate clears the tolerance.
-No Filon-type machinery is needed at desk scale; cost grows linearly with the
-total phase variation, and a fixed panel cap (PANEL_CAP) turns runaway
-requests into an explicit failure instead of a silent stall.
+One panel engine, osc_integrals, integrates exp(i p) for one phase p over
+many intervals, each in a group with its own tolerance.  It cuts the
+intervals at the real roots of p' and p'', bisects the pieces to at most
+SPAN = 4 pi of monotone phase, and applies the Gauss-Kronrod 7/15 pair
+(Kronrod 1965; QUADPACK's qk15, Piessens et al. 1983) from 15 exponentials
+per panel, with |K15 - G7| as the panel's error.  Only groups whose summed
+error exceeds their tolerance refine, halving their worst panels, so panel
+sizes follow the error estimate.  PANEL_CAP and a pass limit turn runaway
+requests into an explicit failure: osc_integral, the one-interval case,
+raises QuadratureError.  No Filon-type machinery is needed at desk scale;
+cost grows linearly with the total phase variation.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_DEGREE = 64
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL8 = np.polynomial.legendre.leggauss(8)
-_CHUNK = 1 << 16
 PANEL_CAP = 1 << 20
+SPAN = 4.0 * np.pi      # largest phase span of a panel before any refinement
+_PASSES = 64            # bisection passes allowed per stage
+_CHUNK = 1 << 14        # panels per block of exponentials
+
+# Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15): the Kronrod nodes x_0 > ...
+# > x_7 = 0 and their weights; the Gauss nodes are x_1, x_3, x_5 and x_7.
+_XK = np.array([0.991455371120812639206854697526329,
+                0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926,
+                0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013,
+                0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245, 0.0])
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_NODES = np.concatenate([_XK, -_XK[:7]])[:, None]   # x_0..x_7, -x_0..-x_6
 
 
 class QuadratureError(RuntimeError):
@@ -60,38 +81,121 @@ class PhasePoly:
                                                 self.full_coeffs())
 
 
-def _real_roots_in(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Real roots of a power-basis polynomial inside (a, b)."""
+def _real_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots of a power-basis polynomial, sorted, each once; a root
+    counts as real when its imaginary part is within 1e-9 of its modulus."""
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if len(c) <= 1:
         return np.empty(0)
     roots = np.polynomial.polynomial.polyroots(c)
-    scale = max(abs(a), abs(b), 1.0)
-    real = roots[np.abs(roots.imag) <= 1e-9 * scale].real
-    real = real[(real > a) & (real < b)]
-    return np.unique(real)
+    return np.unique(roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real)
 
 
-def _panel_values(p: PhasePoly, lo: np.ndarray, hi: np.ndarray):
-    """GL16 value and GL16-GL8 discrepancy for each panel, chunked."""
+def _cut(lo, hi, grp, points):
+    """The intervals [lo, hi] cut at every point strictly inside them."""
+    inside = (points > lo[:, None]) & (points < hi[:, None])
+    owner, which = np.nonzero(inside)
+    owner = np.concatenate([np.arange(len(lo)), owner])
+    start = np.concatenate([lo, points[which]])
+    order = np.lexsort((start, owner))
+    owner, start = owner[order], start[order]
+    last = np.ones(len(owner), dtype=bool)
+    last[:-1] = owner[1:] != owner[:-1]
+    end = np.empty_like(start)
+    end[:-1] = start[1:]
+    end[last] = hi[owner[last]]
+    return start, end, grp[owner]
+
+
+def _kronrod(p: PhasePoly, lo: np.ndarray, hi: np.ndarray):
+    """K15 value and |K15 - G7| of exp(i p) on each panel, from one set of
+    15 exponentials per panel; the weights go in by multiply and add, node
+    pair by node pair, so a panel's bits never depend on its neighbours."""
     vals = np.empty(len(lo), dtype=complex)
     errs = np.empty(len(lo), dtype=float)
     for start in range(0, len(lo), _CHUNK):
         sl = slice(start, start + _CHUNK)
-        mid = 0.5 * (lo[sl] + hi[sl])[:, None]
-        half = 0.5 * (hi[sl] - lo[sl])[:, None]
-        v16 = (np.exp(1j * p(mid + half * _GL16[0])) @ _GL16[1]) * half[:, 0]
-        v8 = (np.exp(1j * p(mid + half * _GL8[0])) @ _GL8[1]) * half[:, 0]
-        vals[sl] = v16
-        errs[sl] = np.abs(v16 - v8)
+        half = 0.5 * (hi[sl] - lo[sl])
+        f = np.exp(1j * p(0.5 * (lo[sl] + hi[sl]) + half * _NODES))
+        pair = f[:7] + f[8:]
+        k15 = _WK[7] * f[7]
+        for j in range(7):
+            k15 = k15 + _WK[j] * pair[j]
+        g7 = _WG[3] * f[7]
+        for i, j in enumerate((1, 3, 5)):
+            g7 = g7 + _WG[i] * pair[j]
+        vals[sl] = k15 * half
+        errs[sl] = np.abs(k15 - g7) * half
     return vals, errs
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, bad: np.ndarray):
-    """Panels with the flagged ones split in half."""
+def _split(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray, grp: np.ndarray):
+    """Panels with the flagged ones halved: the others first, then the left
+    halves, then the right halves, each in their previous order."""
     mid = 0.5 * (lo[bad] + hi[bad])
     return (np.concatenate([lo[~bad], lo[bad], mid]),
-            np.concatenate([hi[~bad], mid, hi[bad]]))
+            np.concatenate([hi[~bad], mid, hi[bad]]),
+            np.concatenate([grp[~bad], grp[bad], grp[bad]]))
+
+
+def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
+    """Per group g, the sum over its intervals [lo_i, hi_i] (group_i = g) of
+    int exp(i p(t)) dt to absolute tolerance tol[g]; nan for a group that
+    does not converge.  Intervals must be finite with lo < hi.
+
+    Groups are numbered 0 .. len(tol) - 1.  Each panel keeps its group's
+    relative order through every split, and a group's sums run through its
+    panels in that order (bincount), so its result does not depend on the
+    other groups sharing the call.
+    """
+    tol = np.asarray(tol, dtype=float)
+    n = len(tol)
+    out = np.full(n, np.nan, dtype=complex)
+    full = p.full_coeffs()
+    crit = np.concatenate([_real_roots(np.polynomial.polynomial.polyder(full)),
+                           _real_roots(np.polynomial.polynomial.polyder(full, 2))])
+    lo, hi, grp = _cut(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
+                       np.asarray(group, dtype=np.intp), np.unique(crit))
+
+    def drop(lost, *arrays):
+        """The per-panel arrays without the panels of the lost groups."""
+        keep = ~lost[grp]
+        return tuple(a[keep] for a in arrays)
+
+    def over_cap(bad):
+        count = np.bincount(grp, minlength=n)
+        return count + np.bincount(grp, bad, minlength=n) > PANEL_CAP
+
+    # Bisect until each monotone piece spans at most SPAN of phase.
+    bad = np.abs(p(hi) - p(lo)) > SPAN
+    for _ in range(_PASSES):
+        if not bad.any():
+            break
+        bad, lo, hi, grp = drop(over_cap(bad), bad, lo, hi, grp)
+        lo, hi, grp = _split(bad, lo, hi, grp)
+        bad = np.abs(p(hi) - p(lo)) > SPAN
+    lo, hi, grp = drop(np.bincount(grp, bad, minlength=n) > 0, lo, hi, grp)
+
+    vals, errs = _kronrod(p, lo, hi)
+    for _ in range(_PASSES):
+        count = np.bincount(grp, minlength=n)
+        err = np.bincount(grp, errs, minlength=n)
+        done = (count > 0) & (err <= tol)
+        if done.any():
+            out[done] = (np.bincount(grp, vals.real, minlength=n)[done]
+                         + 1j * np.bincount(grp, vals.imag, minlength=n)[done])
+        lo, hi, vals, errs, grp = drop(done, lo, hi, vals, errs, grp)
+        if not len(grp):
+            break
+        bad = errs > (tol / (2.0 * np.maximum(count, 1)))[grp]
+        bad, lo, hi, vals, errs, grp = drop(over_cap(bad), bad, lo, hi, vals,
+                                            errs, grp)
+        lo, hi, grp = _split(bad, lo, hi, grp)
+        kept = np.count_nonzero(~bad)
+        new_vals, new_errs = _kronrod(p, lo[kept:], hi[kept:])
+        vals = np.concatenate([vals[~bad], new_vals])
+        errs = np.concatenate([errs[~bad], new_errs])
+    return out
 
 
 def _require_tol(tol: float) -> None:
@@ -108,39 +212,11 @@ def osc_integral(p: PhasePoly, a: float, b: float,
     _require_tol(tol)
     if p.degree == 0 or not any(p.coeffs):
         return (b - a) * np.exp(1j * p.constant)
-
-    full = p.full_coeffs()
-    d1 = np.polynomial.polynomial.polyder(full)
-    d2 = np.polynomial.polynomial.polyder(full, 2)
-    cuts = np.concatenate([[a], _real_roots_in(d1, a, b),
-                           _real_roots_in(d2, a, b), [b]])
-    cuts = np.unique(cuts)
-    lo, hi = cuts[:-1].copy(), cuts[1:].copy()
-
-    # Bisect until each panel's monotone phase span is below pi/2.
-    for _ in range(64):
-        span = np.abs(p(hi) - p(lo))
-        bad = span > 0.5 * np.pi
-        if not bad.any():
-            break
-        if len(lo) + np.count_nonzero(bad) > PANEL_CAP:
-            raise QuadratureError(
-                f"panel cap {PANEL_CAP} exceeded splitting phase spans")
-        lo, hi = _bisect(lo, hi, bad)
-    else:
-        raise QuadratureError("phase spans failed to contract")
-
-    for _ in range(64):
-        vals, errs = _panel_values(p, lo, hi)
-        total_err = float(np.sum(errs))
-        if total_err <= tol:
-            return complex(np.sum(vals))
-        bad = errs > tol / (2.0 * len(lo))
-        if len(lo) + np.count_nonzero(bad) > PANEL_CAP:
-            raise QuadratureError(
-                f"panel cap {PANEL_CAP} exceeded at error {total_err:.3e}")
-        lo, hi = _bisect(lo, hi, bad)
-    raise QuadratureError("error estimate failed to contract")
+    z = complex(osc_integrals(p, [a], [b], [0], [tol])[0])
+    if cmath.isnan(z):
+        raise QuadratureError(f"no estimate within tol {tol:.3e} in "
+                              f"{PANEL_CAP} panels and {_PASSES} passes")
+    return z
 
 
 def sublevel_measure(p: PhasePoly, a: float, b: float, delta: float,

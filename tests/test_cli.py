@@ -88,8 +88,20 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     # the certified bound would round coarsely there and report PASS
     (("sigma-hat", "--xi", "0,5e-324", "--k-lo", "540", "--k-hi", "540"),
      "xi_2 = 4.94e-324 is subnormal"),
+    # an empty list crashed log-growth on an empty table and let criterion 5
+    # pass with no polynomial checked; a dict stands for a config file
+    (("log-growth", "--config", {"d_list": [], "quick": True}),
+     "at least one entry"),
+    (("osc-corpus", "--config", {"d_list": [], "quick": True}),
+     "at least one entry"),
 ])
-def test_config_errors_exit_2(capsys, args, fragment):
+def test_config_errors_exit_2(capsys, tmp_path, args, fragment):
+    args = list(args)
+    for i, arg in enumerate(args):
+        if isinstance(arg, dict):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(arg))
+            args[i] = str(cfg)
     code, _, err = run_cli(capsys, *args)
     assert code == 2
     assert "config error" in err

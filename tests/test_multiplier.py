@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from curvemax.multiplier import (g_profile, induction_diagnostics,
                                  log_growth_experiment, nu_hat, sup_search)
@@ -191,8 +192,18 @@ def test_profile_rejects_subnormal_coordinates(xi):
         g_profile(np.array(xi))
 
 
-def test_profile_entries_are_nu_hat():
-    xi = np.array([0.9, 0.4])
+def _annulus_input(d, seed=0):
+    """A fixed frequency with rho = 1.5."""
+    v = np.random.default_rng([seed, d]).standard_normal(d)
+    return dilate(v, 1.5 / rho(v))
+
+
+@pytest.mark.parametrize("xi", [np.array([0.9, 0.4])]
+                         + [_annulus_input(d) for d in (4, 8, 16)],
+                         ids=["d=2", "d=4", "d=8", "d=16"])
+def test_profile_entries_are_nu_hat(xi):
+    # a window's entries come from one batched quadrature call and nu_hat's
+    # from a call of their own: a shell must not depend on its batch
     prof = g_profile(xi, tol=1e-3)
     assert prof.envelope_only
     for k, val in zip(prof.window.ks(), prof.values):
@@ -201,3 +212,35 @@ def test_profile_entries_are_nu_hat():
                 nu_hat(xi, k, tol=prof.quad_tol)
         else:
             assert val == abs(nu_hat(xi, k, tol=prof.quad_tol))
+
+
+def _entry_by_quadpack(xi, k):
+    """|sigma_hat(delta_{2^k} xi) - exp(-2^k rho(xi))| through
+    scipy.integrate.quad over both shell halves, and quad's error estimate."""
+    eta = dilate(xi, 2.0 ** k)
+    phase = np.polynomial.Polynomial(
+        np.concatenate([[0.0], -2.0 * math.pi * eta]))
+    total, err = 0.0, 0.0
+    for a, b in ((0.5, 1.0), (-1.0, -0.5)):
+        for part, unit in ((math.cos, 1.0), (math.sin, 1j)):
+            val, e = integrate.quad(lambda t: part(phase(t)), a, b,
+                                    epsabs=1e-13, epsrel=0.0, limit=400)
+            total += unit * val
+            err += e
+    return abs(total - math.exp(-(2.0 ** k) * float(rho(xi)))), err
+
+
+@pytest.mark.parametrize("xi", [_annulus_input(d, seed=1) for d in range(2, 17)]
+                         + [dilate(_annulus_input(5, seed=1), 2.0)],
+                         ids=[f"d={d}" for d in range(2, 17)] + ["d=5,dilated"])
+def test_profile_entries_against_quadpack(xi):
+    prof = g_profile(xi, tol=2e-3)
+    checked = 0
+    for k, val in zip(prof.window.ks(), prof.values):
+        bound = 2.0 * math.pi * float(np.sum(np.abs(dilate(xi, 2.0 ** k))))
+        if k in prof.envelope_only or bound > 60.0:
+            continue
+        ref, err = _entry_by_quadpack(xi, k)
+        assert abs(val - ref) <= prof.quad_tol + err, k
+        checked += 1
+    assert checked

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import re
 
 import numpy as np
 import pytest
 from scipy import special
 
+from curvemax import oscillatory
 from curvemax.curve_measure import mu_hat, sigma_hat
 from curvemax.multiplier import nu_hat
 from curvemax.oscillatory import (MAX_DEGREE, PhasePoly, osc_integral,
@@ -19,7 +22,7 @@ def fresnel_reference(lam):
     return np.sqrt(np.pi / (2.0 * lam)) * (c + 1j * s)
 
 
-@pytest.mark.parametrize("lam", [0.5, np.pi / 2.0, 10.0, 100.0, 3000.0])
+@pytest.mark.parametrize("lam", [0.5, np.pi / 2.0, 10.0, 100.0, 3000.0, 3e4])
 def test_quadratic_phase_against_fresnel(lam):
     val = osc_integral(PhasePoly((0.0, lam)), 0.0, 1.0, tol=1e-12)
     assert val == pytest.approx(fresnel_reference(lam), abs=5e-12)
@@ -140,3 +143,12 @@ def test_vinogradov_scaling_in_delta():
     meas = [vinogradov_check(p, -1.0, 1.0, 10.0 ** e, grid_points=50_000).measured
             for e in (-0.5, -1.0, -2.0)]
     assert meas[0] >= meas[1] >= meas[2]
+
+
+def test_quadrature_path_has_no_matrix_products():
+    # a threaded BLAS product of exponentials and weights kept a second core
+    # busy; the rule pair is applied by elementwise multiply and add
+    tree = ast.parse(inspect.getsource(oscillatory))
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.MatMult)
+                or isinstance(n, ast.Attribute) and n.attr in blas]

@@ -297,8 +297,9 @@ def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
 
     The envelope constant is max |nu_hat(eta)| / min(eta, 1/eta) for d = 1,
     and the profile's own certified bounds cap it.  For eta <= 1,
-    |sigma_hat(eta) - 1| <= L_1 eta with L_1 = _lipschitz_coeffs(1) = 3 pi/2,
-    and |e^-eta - 1| <= eta, so the ratio is at most 1 + 3 pi/2.  For
+    |sigma_hat(eta) - 1| <= L_1 eta with
+    L_1 = curve_measure._lipschitz_coeffs(1) = 3 pi/2, and
+    |e^-eta - 1| <= eta, so the ratio is at most 1 + 3 pi/2.  For
     eta >= 1, |sigma_hat(eta)| <= curve_measure._decay_prefactor((eta,)) =
     2 / (pi eta), and e^-eta <= 1 / (e eta), so the ratio is at most
     2/pi + 1/e.  The gate is the larger, 1 + 3 pi/2 ~ 5.712.

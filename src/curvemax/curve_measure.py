@@ -4,7 +4,9 @@ sigma is the probability measure of arc length parameter on the curve
 (t, t^2, ..., t^d) over the shell 1/2 < |t| <= 1, mu its solid counterpart
 over |t| <= 1.  Their transforms are oscillatory integrals with polynomial
 phase, and the anisotropic dilation acts by rescaling the frequency:
-sigma_hat at scale 2^k is sigma_hat(delta_{2^k} xi).
+sigma_hat at scale 2^k is sigma_hat(delta_{2^k} xi).  sigma_hat_dyadics
+evaluates many scales in one quadrature pass over rescaled dyadic shells;
+it is the one definition behind sigma_hat_dyadic, nu_hat and the profile.
 
 Besides plain evaluation this module holds the profile's certified decay
 bound, min(1, G 2^{-k}, Remez sublevel plus monotone-piece estimate at its
@@ -15,6 +17,7 @@ treatment in any ambient dimension.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -23,9 +26,12 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridFunction
-from .oscillatory import PhasePoly, _require_tol, osc_integral
+from .norms import rho
+from .oscillatory import (PhasePoly, QuadratureError, _require_tol,
+                          osc_integral, osc_integrals)
 
 _LN2 = math.log(2.0)
+_ULP = float(np.finfo(float).eps)   # the spacing of doubles at 1
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,69 @@ def mu_hat(xi, tol: float = 1e-10) -> complex:
     return 0.5 * osc_integral(p, -1.0, 1.0, tol=tol)
 
 
-def sigma_hat_dyadic(xi, k: int, tol: float = 1e-10) -> complex:
-    """sigma_hat at dyadic scale 2^k, i.e. sigma_hat(delta_{2^k} xi)."""
+def _lipschitz_coeffs(d: int) -> np.ndarray:
+    """L_j with |sigma_hat(eta) - 1| <= sum_j L_j |eta_j|: exact moment factors."""
+    js = np.arange(1, d + 1, dtype=float)
+    return 4.0 * math.pi * (1.0 - 2.0 ** -(js + 1.0)) / (js + 1.0)
+
+
+def sigma_hat_dyadics(xi, ks, tol: float = 1e-10) -> np.ndarray:
+    """sigma_hat(delta_{2^k} xi) for each k in ks, each to absolute
+    tolerance tol; nan where quadrature does not reach.
+
+    One osc_integrals call covers every k: with m = k - k0,
+    sigma_hat(delta_{2^k} xi) = 2^-m int_{2^{m-1} < |s| <= 2^m} e^{i phi(s)} ds
+    for phi the phase of delta_{2^k0} xi, k0 = round(-log2 rho(xi)) keeping
+    its coefficients near unit size.  Shell k is one group at tol 2^m tol; a
+    group's result does not depend on the others, so each entry equals the
+    one-k value of sigma_hat_dyadic bit for bit.  Where the Lipschitz bound
+    sum_j L_j |(delta_{2^k} xi)_j| on |sigma_hat - 1| is at most tol and
+    below half an ulp of 1 the value is 1: within tol, and what quadrature
+    would return up to rounding.  A shell whose edges or tolerance leave
+    the normal double range, or whose phase size (dyadic_phase_size)
+    overflows, is nan.
+    """
+    _require_tol(tol)
     xi = np.asarray(xi, dtype=float)
-    return sigma_hat(np.ldexp(xi, k * np.arange(1, len(xi) + 1)), tol=tol)
+    ks = np.asarray(ks, dtype=int).reshape(-1)
+    out = np.full(len(ks), np.nan, dtype=complex)
+    j_top = top_index(xi)
+    if j_top == 0:
+        out[:] = 1.0
+        return out
+    nz = np.nonzero(xi)[0]
+    # per k and nonzero j: log |xi_j| 2^{kj}, then log sum_j L_j |xi_j| 2^{kj}
+    logs = np.log(np.abs(xi[nz])) + np.multiply.outer(ks, nz + 1.0) * _LN2
+    top = np.max(logs, axis=1)
+    lip = np.log(_lipschitz_coeffs(j_top)[nz]) + logs
+    lip_top = np.max(lip, axis=1)
+    log_lip = lip_top + np.log(np.sum(np.exp(lip - lip_top[:, None]), axis=1))
+    settled = log_lip <= math.log(min(tol, 0.5 * _ULP))
+    out[settled] = 1.0
+
+    k0 = int(round(-math.log2(rho(xi))))
+    m = ks - k0
+    log2_tol = m + math.log2(tol)           # of the shell's tolerance
+    reach = (~settled & (top <= 700.0) & (m >= -1021) & (m <= 1023)
+             & (log2_tol >= -1022.0) & (log2_tol <= 1023.0))
+    m = m[reach]
+    outer = np.ldexp(1.0, m)
+    sums = osc_integrals(
+        _phase(np.ldexp(xi[:j_top], k0 * np.arange(1, j_top + 1))),
+        np.concatenate([0.5 * outer, -outer]),
+        np.concatenate([outer, -0.5 * outer]),
+        np.tile(np.arange(len(m)), 2), outer * tol)
+    out[reach] = np.ldexp(sums.real, -m) + 1j * np.ldexp(sums.imag, -m)
+    return out
+
+
+def sigma_hat_dyadic(xi, k: int, tol: float = 1e-10) -> complex:
+    """sigma_hat at dyadic scale 2^k, i.e. sigma_hat(delta_{2^k} xi): the
+    one-k case of sigma_hat_dyadics, QuadratureError where it is nan."""
+    z = complex(sigma_hat_dyadics(xi, (k,), tol)[0])
+    if cmath.isnan(z):
+        raise QuadratureError(f"sigma_hat beyond quadrature reach at k = {k}")
+    return z
 
 
 def _normal_frequency(xi) -> np.ndarray:

@@ -17,7 +17,7 @@ is affordable, and otherwise the certified upper bound itself, marked
 envelope-only, so the reported g never silently drops mass (it may only
 overshoot, and g_lower tracks the quadrature-only certified floor).  A
 window's quadrature entries take one pass of the panel engine over its
-dyadic shells (see _entries).
+dyadic shells (curve_measure.sigma_hat_dyadics).
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from functools import partial
 import numpy as np
 
 from .curve_measure import (DyadicWindow, dyadic_phase_size,
-                            sigma_hat_upper_bound, top_index, _decay_prefactor,
-                            _normal_frequency, _phase)
+                            sigma_hat_dyadics, sigma_hat_upper_bound,
+                            top_index, _decay_prefactor, _lipschitz_coeffs,
+                            _normal_frequency)
 from .norms import _annulus_point, rho
-from .oscillatory import QuadratureError, _require_tol, osc_integrals
+from .oscillatory import QuadratureError, _require_tol
 from .rng import family_stream
 
 WINDOW_LIMIT = 200
@@ -67,12 +68,7 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
     phase variation stays affordable; elsewhere, or when quadrature fails,
     the value is nan and the modulus is the certified envelope.
 
-    Quadrature takes one osc_integrals call: with m = k - k0,
-    sigma_hat(delta_{2^k} vec) = 2^-m int_{2^{m-1} < |s| <= 2^m} e^{i phi(s)}
-    ds for phi the phase of delta_{2^k0} vec, k0 = round(-log2 rho(vec))
-    keeping its coefficients near unit size.  Shell k is group k, at tol
-    2^m quad_tol; a group's result does not depend on the others, so
-    nu_hat(vec, k) equals the window's entry bit for bit.
+    Quadrature takes one sigma_hat_dyadics call over the window's shells.
     """
     exact = top_index(vec) <= 1
     p_hat = np.array([_poisson_hat(k, rho_vec) for k in ks])
@@ -82,30 +78,14 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
             eta = math.ldexp(vec[0], k)
             values[i] = 2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat[i]
     else:
-        quad = np.array([i for i, k in enumerate(ks) if 8.0 *
-                         dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP],
-                        dtype=int)
-        k0 = int(round(-math.log2(rho_vec)))
-        m = np.array(ks)[quad] - k0
-        outer = np.ldexp(1.0, m)
-        j_top = top_index(vec)
-        sums = osc_integrals(
-            _phase(np.ldexp(vec[:j_top], k0 * np.arange(1, j_top + 1))),
-            np.concatenate([0.5 * outer, -outer]),
-            np.concatenate([outer, -0.5 * outer]),
-            np.tile(np.arange(len(quad)), 2), outer * quad_tol)
-        values[quad] = (np.ldexp(sums.real, -m) + 1j * np.ldexp(sums.imag, -m)
+        quad = [i for i, k in enumerate(ks)
+                if 8.0 * dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP]
+        values[quad] = (sigma_hat_dyadics(vec, [ks[i] for i in quad], quad_tol)
                         - p_hat[quad])
     mags = np.array([abs(z) for z in values.tolist()])
     for i in np.flatnonzero(np.isnan(mags)).tolist():
         mags[i] = min(2.0, sigma_hat_upper_bound(vec, ks[i]) + p_hat[i])
     return values, mags, exact
-
-
-def _lipschitz_coeffs(d: int) -> np.ndarray:
-    """L_j with |sigma_hat(eta) - 1| <= sum_j L_j |eta_j|: exact moment factors."""
-    js = np.arange(1, d + 1, dtype=float)
-    return 4.0 * math.pi * (1.0 - 2.0 ** -(js + 1.0)) / (js + 1.0)
 
 
 def _lower_tail_sq(xi, rho_xi: float, j_lo: int, k_first: int) -> float:

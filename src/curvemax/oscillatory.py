@@ -7,10 +7,12 @@ SPAN = 4 pi of monotone phase, and applies the Gauss-Kronrod 7/15 pair
 (Kronrod 1965; QUADPACK's qk15, Piessens et al. 1983) from 15 exponentials
 per panel, with |K15 - G7| as the panel's error.  Only groups whose summed
 error exceeds their tolerance refine, halving their worst panels, so panel
-sizes follow the error estimate.  PANEL_CAP and a pass limit turn runaway
-requests into an explicit failure: osc_integral, the one-interval case,
-raises QuadratureError.  No Filon-type machinery is needed at desk scale;
-cost grows linearly with the total phase variation.
+sizes follow the error estimate.  A group whose tolerance is below the
+rounding floor of its panels fails at once, and PANEL_CAP and a pass limit
+bound the rest, so a runaway request becomes an explicit failure:
+osc_integral, the one-interval case, raises QuadratureError.  No Filon-type
+machinery is needed at desk scale; cost grows linearly with the total phase
+variation.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ PANEL_CAP = 1 << 20
 SPAN = 4.0 * np.pi      # largest phase span of a panel before any refinement
 _PASSES = 64            # bisection passes allowed per stage
 _CHUNK = 1 << 14        # panels per block of exponentials
+_ROUNDING = 8.0 * np.finfo(float).eps   # see _rounding_floor
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15): the Kronrod nodes x_0 > ...
 # > x_7 = 0 and their weights; the Gauss nodes are x_1, x_3, x_5 and x_7.
@@ -45,7 +48,8 @@ _NODES = np.concatenate([_XK, -_XK[:7]])[:, None]   # x_0..x_7, -x_0..-x_6
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the panel budget is exhausted before the tolerance is met."""
+    """Raised when the tolerance is not met within the panel budget or lies
+    below the rounding floor."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class PhasePoly:
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of a power-basis polynomial, sorted, each once; a root
     counts as real when its imaginary part is within 1e-9 of its modulus."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    c = coeffs[:np.flatnonzero(coeffs)[-1] + 1] if coeffs.any() else coeffs[:0]
     if len(c) <= 1:
         return np.empty(0)
     roots = np.polynomial.polynomial.polyroots(c)
@@ -129,6 +133,19 @@ def _kronrod(p: PhasePoly, lo: np.ndarray, hi: np.ndarray):
     return vals, errs
 
 
+def _rounding_floor(p: PhasePoly, lo: np.ndarray, hi: np.ndarray):
+    """Per panel, 8 eps (hi - lo) (1 + sum_j |b_j| r^j), r = max(|lo|, |hi|).
+
+    The phase carries an absolute rounding error of a few eps times
+    sum_j |b_j| r^j, so an |K15 - G7| this small may be rounding alone and
+    halving the panel cannot be relied on to shrink it; measured estimates
+    on panels too short to hold any quadrature error stay below half of it.
+    """
+    r = np.maximum(np.abs(lo), np.abs(hi))
+    size = np.polynomial.polynomial.polyval(r, np.abs(p.full_coeffs()))
+    return _ROUNDING * (hi - lo) * (1.0 + size)
+
+
 def _split(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray, grp: np.ndarray):
     """Panels with the flagged ones halved: the others first, then the left
     halves, then the right halves, each in their previous order."""
@@ -143,6 +160,11 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
     int exp(i p(t)) dt to absolute tolerance tol[g]; nan for a group that
     does not converge.  Intervals must be finite with lo < hi.
 
+    A group still open with no panel above both its share tol[g] / (2 n_g)
+    of the tolerance and its rounding floor (_rounding_floor) fails at once:
+    its tolerance is below what rounding lets the estimate resolve, and
+    halving further would only spend the panel budget.
+
     Groups are numbered 0 .. len(tol) - 1.  Each panel keeps its group's
     relative order through every split, and a group's sums run through its
     panels in that order (bincount), so its result does not depend on the
@@ -151,9 +173,9 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
     tol = np.asarray(tol, dtype=float)
     n = len(tol)
     out = np.full(n, np.nan, dtype=complex)
-    full = p.full_coeffs()
-    crit = np.concatenate([_real_roots(np.polynomial.polynomial.polyder(full)),
-                           _real_roots(np.polynomial.polynomial.polyder(full, 2))])
+    d1 = p.full_coeffs()[1:] * np.arange(1.0, p.degree + 1)    # p'
+    d2 = d1[1:] * np.arange(1.0, p.degree)                    # p''
+    crit = np.concatenate([_real_roots(d1), _real_roots(d2)])
     lo, hi, grp = _cut(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
                        np.asarray(group, dtype=np.intp), np.unique(crit))
 
@@ -188,8 +210,10 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
         if not len(grp):
             break
         bad = errs > (tol / (2.0 * np.maximum(count, 1)))[grp]
-        bad, lo, hi, vals, errs, grp = drop(over_cap(bad), bad, lo, hi, vals,
-                                            errs, grp)
+        bad[bad] = errs[bad] > _rounding_floor(p, lo[bad], hi[bad])
+        stuck = np.bincount(grp, bad, minlength=n) == 0
+        bad, lo, hi, vals, errs, grp = drop(stuck | over_cap(bad), bad, lo, hi,
+                                            vals, errs, grp)
         lo, hi, grp = _split(bad, lo, hi, grp)
         kept = np.count_nonzero(~bad)
         new_vals, new_errs = _kronrod(p, lo[kept:], hi[kept:])
@@ -215,7 +239,8 @@ def osc_integral(p: PhasePoly, a: float, b: float,
     z = complex(osc_integrals(p, [a], [b], [0], [tol])[0])
     if cmath.isnan(z):
         raise QuadratureError(f"no estimate within tol {tol:.3e} in "
-                              f"{PANEL_CAP} panels and {_PASSES} passes")
+                              f"{PANEL_CAP} panels and {_PASSES} passes "
+                              f"above the rounding floor")
     return z
 
 

@@ -33,6 +33,13 @@ def test_nu_hat_vanishes_at_extreme_scales():
     assert abs(nu_hat(xi, k=6, tol=1e-8)) < 0.05
 
 
+@pytest.mark.parametrize("k", [-3000, -1100, -1060, -1030, -200])
+def test_nu_hat_far_below_the_window(k):
+    # the shells of the batched quadrature are 2^{k - k0} wide and would
+    # leave double range here; the Lipschitz bound settles sigma_hat = 1
+    assert abs(nu_hat((1.0, 1.0), k)) <= 1e-10
+
+
 @pytest.mark.parametrize("x", [0.03, 0.4, 1.0, 5.7, 40.0])
 def test_profile_matches_direct_summation_1d(x):
     prof = g_profile(np.array([x]), tol=1e-7)

@@ -8,9 +8,9 @@ from scipy import special
 
 from curvemax import oscillatory
 from curvemax.curve_measure import mu_hat, sigma_hat
-from curvemax.multiplier import nu_hat
-from curvemax.oscillatory import (MAX_DEGREE, PhasePoly, osc_integral,
-                                  sublevel_measure, vdc_bound_check,
+from curvemax.multiplier import g_profile, nu_hat
+from curvemax.oscillatory import (MAX_DEGREE, PhasePoly, QuadratureError,
+                                  osc_integral, sublevel_measure, vdc_bound_check,
                                   vinogradov_check)
 from curvemax.stable_poisson import stable_density_1d
 
@@ -152,3 +152,35 @@ def test_quadrature_path_has_no_matrix_products():
     blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.MatMult)
                 or isinstance(n, ast.Attribute) and n.attr in blas]
+
+
+class _PanelCount:
+    """Wraps oscillatory._kronrod to record how many panels each call held."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        inner = oscillatory._kronrod
+
+        def counted(p, lo, hi):
+            self.sizes.append(len(lo))
+            return inner(p, lo, hi)
+
+        monkeypatch.setattr(oscillatory, "_kronrod", counted)
+
+
+def test_tolerance_below_the_rounding_floor_fails_early(monkeypatch):
+    # a phase of size 3e5 leaves a rounding floor near 5e-10 on [0, 1]; tol
+    # 1e-12 used to refine to about a million panels before failing
+    count = _PanelCount(monkeypatch)
+    with pytest.raises(QuadratureError):
+        osc_integral(PhasePoly((0.0, 3e5)), 0.0, 1.0, tol=1e-12)
+    assert sum(count.sizes) <= 1 << 18
+
+
+def test_tight_profile_window_stays_within_a_panel_budget(monkeypatch):
+    # at tol 1e-13 the large shells of a d = 2 window ask for less than
+    # rounding resolves; each used to refine to the panel cap, all at once
+    count = _PanelCount(monkeypatch)
+    prof = g_profile(np.array([0.9, 0.4]), tol=1e-13)
+    assert max(count.sizes) <= 1 << 17
+    assert prof.envelope_only

@@ -14,7 +14,7 @@ from .curve_measure import (
     gamma_reduce,
     mu_hat,
     sigma_hat,
-    sigma_hat_dyadic,
+    sigma_hat_dyadics,
     sigma_hat_upper_bound,
     top_index,
 )
@@ -115,7 +115,7 @@ __all__ = [
     "semigroup_check",
     "shell_average",
     "sigma_hat",
-    "sigma_hat_dyadic",
+    "sigma_hat_dyadics",
     "sigma_hat_upper_bound",
     "split_check",
     "stable_density_1d",

@@ -13,6 +13,7 @@ its flags override parameters of the criterion's quick or full preset.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -24,11 +25,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .acceptance import jsonable, preset, run, run_all
-from .curve_measure import (dyadic_phase_size, sigma_hat_dyadic,
+from .curve_measure import (dyadic_phase_size, sigma_hat_dyadics,
                             sigma_hat_upper_bound)
 from .norms import MAX_DIMENSION, rho
-from .oscillatory import PANEL_CAP, QuadratureError
+from .oscillatory import PANEL_CAP
 from .rng import SEED_DERIVATION
+
+# The widest k range of sigma-hat.  2^k xi_1 is a nonzero finite double only
+# while 2^-1075 < 2^k |xi_1| < 2^1024, so for a normal xi_1 (2^-1022 <=
+# |xi_1| < 2^1024) only if -2099 < k < 2046: 4144 scales.  Higher coordinates
+# 2^{kj} xi_j leave double range sooner.
+MAX_SCALES = 4144
 
 
 class ConfigError(Exception):
@@ -251,21 +258,22 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
     k_hi = _resolve(ns, cfg, "k_hi", default=6)
     if k_lo > k_hi:
         raise ConfigError(f"k range [{k_lo}, {k_hi}] is empty")
+    if k_hi - k_lo + 1 > MAX_SCALES:
+        raise ConfigError(f"k range [{k_lo}, {k_hi}] spans more than "
+                          f"{MAX_SCALES} scales")
     tol = _check_tol(_resolve(ns, cfg, "tol", default=1e-10))
+    ks = range(k_lo, k_hi + 1)
+    try:
+        bounds = [sigma_hat_upper_bound(xi, k) for k in ks]
+    except ValueError as exc:
+        raise ConfigError(f"--xi: {exc}")
+    vals = np.full(len(ks), np.nan, dtype=complex)
+    quad = 8.0 * dyadic_phase_size(xi, ks) <= PANEL_CAP
+    vals[quad] = sigma_hat_dyadics(xi, [k for k, q in zip(ks, quad) if q], tol)
     rows, failures = [], []
-    for k in range(k_lo, k_hi + 1):
-        try:
-            bound = sigma_hat_upper_bound(xi, k)
-        except ValueError as exc:
-            raise ConfigError(f"--xi: {exc}")
-        val = None
-        if 8.0 * dyadic_phase_size(xi, k) <= PANEL_CAP:
-            try:
-                val = sigma_hat_dyadic(xi, k, tol=tol)
-            except QuadratureError:
-                val = None
+    for k, bound, val in zip(ks, bounds, vals.tolist()):
         row = {"k": k, "quad_tol": tol, "certified_bound": bound}
-        if val is None:
+        if cmath.isnan(val):
             row.update({"abs": None, "real": None, "imag": None,
                         "passed": True})
         else:

@@ -6,7 +6,9 @@ over |t| <= 1.  Their transforms are oscillatory integrals with polynomial
 phase, and the anisotropic dilation acts by rescaling the frequency:
 sigma_hat at scale 2^k is sigma_hat(delta_{2^k} xi).  sigma_hat_dyadics
 evaluates many scales in one quadrature pass over rescaled dyadic shells;
-it is the one definition behind sigma_hat_dyadic, nu_hat and the profile.
+sigma_hat is its k = 0 case, and nu_hat and the profile call it too.  Each
+scale's phase size and Lipschitz bound on |sigma_hat - 1| come from
+dyadic_phase_size and _lipschitz_size, which take many scales per call.
 
 Besides plain evaluation this module holds the profile's certified decay
 bound, min(1, G 2^{-k}, Remez sublevel plus monotone-piece estimate at its
@@ -71,18 +73,6 @@ def top_index(xi) -> int:
     return int(nz[-1]) + 1 if len(nz) else 0
 
 
-def sigma_hat(xi, tol: float = 1e-10) -> complex:
-    """Transform of the shell measure: int_{1/2<|t|<=1} e^{-2 pi i xi.curve(t)} dt."""
-    _require_tol(tol)
-    xi = np.asarray(xi, dtype=float)
-    j_top = top_index(xi)
-    if j_top == 0:
-        return complex(1.0)
-    p = _phase(xi[:j_top])
-    return (osc_integral(p, 0.5, 1.0, tol=0.5 * tol)
-            + osc_integral(p, -1.0, -0.5, tol=0.5 * tol))
-
-
 def mu_hat(xi, tol: float = 1e-10) -> complex:
     """Transform of the solid average: (1/2) int_{|t|<=1} e^{-2 pi i xi.curve(t)} dt."""
     _require_tol(tol)
@@ -100,6 +90,49 @@ def _lipschitz_coeffs(d: int) -> np.ndarray:
     return 4.0 * math.pi * (1.0 - 2.0 ** -(js + 1.0)) / (js + 1.0)
 
 
+def _normal_frequency(xi) -> np.ndarray:
+    """xi as a float array; ValueError for a non-finite or subnormal coordinate.
+
+    A subnormal xi_j carries fewer significant bits than the certified bounds
+    assume (products such as L_j xi_j round coarsely), and for (xi_1, 0, ...)
+    the decay prefactor 2 / (pi |xi_1|) leaves double range.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if not np.isfinite(xi).all():
+        raise ValueError("coordinates must be finite")
+    for j, v in enumerate(xi.ravel().tolist(), start=1):
+        if 0.0 < abs(v) < sys.float_info.min:
+            raise ValueError(f"xi_{j} = {v:.3g} is subnormal; nonzero "
+                             f"coordinates need |xi_j| >= {sys.float_info.min:.3g}")
+    return xi
+
+
+def dyadic_phase_size(xi, ks):
+    """sum_j |xi_j| 2^{kj} for each k in ks (a float for one k), an upper
+    proxy for total phase variation / 4 pi; inf where a term overflows.
+    Callers use it to decide whether quadrature at scale k is affordable."""
+    xi = np.asarray(xi, dtype=float)
+    nz = np.nonzero(xi)[0]
+    logs = (np.log(np.abs(xi[nz]))
+            + np.multiply.outer(np.asarray(ks, dtype=float), nz + 1.0) * _LN2)
+    # exp of the clipped logs, so that no overflow warns; no term sums to 0
+    out = np.where(np.max(logs, axis=-1, initial=-math.inf) > 700.0, math.inf,
+                   np.sum(np.exp(np.minimum(logs, 700.0)), axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
+def _lipschitz_size(xi, ks, j_lo: int = 0):
+    """sum_{j > j_lo} L_j |xi_j| 2^{kj} for each k in ks (a float for one k);
+    from j_lo = 0, the bound on |sigma_hat(delta_{2^k} xi) - 1|."""
+    xi = np.asarray(xi, dtype=float)
+    # L_j < 8, so L_j xi_j overflows only for |xi_j| near the double maximum;
+    # there the sum is formed from xi / 8 and multiplied back
+    scale = 8.0 if np.max(np.abs(xi)) > sys.float_info.max / 8.0 else 1.0
+    weighted = _lipschitz_coeffs(len(xi)) * (xi / scale)
+    weighted[:j_lo] = 0.0
+    return dyadic_phase_size(weighted, ks) * scale
+
+
 def sigma_hat_dyadics(xi, ks, tol: float = 1e-10) -> np.ndarray:
     """sigma_hat(delta_{2^k} xi) for each k in ks, each to absolute
     tolerance tol; nan where quadrature does not reach.
@@ -108,38 +141,31 @@ def sigma_hat_dyadics(xi, ks, tol: float = 1e-10) -> np.ndarray:
     sigma_hat(delta_{2^k} xi) = 2^-m int_{2^{m-1} < |s| <= 2^m} e^{i phi(s)} ds
     for phi the phase of delta_{2^k0} xi, k0 = round(-log2 rho(xi)) keeping
     its coefficients near unit size.  Shell k is one group at tol 2^m tol; a
-    group's result does not depend on the others, so each entry equals the
-    one-k value of sigma_hat_dyadic bit for bit.  Where the Lipschitz bound
-    sum_j L_j |(delta_{2^k} xi)_j| on |sigma_hat - 1| is at most tol and
-    below half an ulp of 1 the value is 1: within tol, and what quadrature
-    would return up to rounding.  A shell whose edges or tolerance leave
-    the normal double range, or whose phase size (dyadic_phase_size)
-    overflows, is nan.
+    group's result does not depend on the others, so each entry equals its
+    one-k value bit for bit.  Where the Lipschitz bound (_lipschitz_size)
+    on |sigma_hat - 1| is at most tol and below half an ulp of 1 the value
+    is 1: within tol, and what quadrature would return up to rounding.  A
+    shell whose edges or tolerance leave the normal double range, or whose
+    phase size (dyadic_phase_size) overflows, is nan.
     """
     _require_tol(tol)
     xi = np.asarray(xi, dtype=float)
-    ks = np.asarray(ks, dtype=int).reshape(-1)
+    ks = np.asarray(ks, dtype=float).reshape(-1)   # any integer k, however large
     out = np.full(len(ks), np.nan, dtype=complex)
     j_top = top_index(xi)
     if j_top == 0:
         out[:] = 1.0
         return out
-    nz = np.nonzero(xi)[0]
-    # per k and nonzero j: log |xi_j| 2^{kj}, then log sum_j L_j |xi_j| 2^{kj}
-    logs = np.log(np.abs(xi[nz])) + np.multiply.outer(ks, nz + 1.0) * _LN2
-    top = np.max(logs, axis=1)
-    lip = np.log(_lipschitz_coeffs(j_top)[nz]) + logs
-    lip_top = np.max(lip, axis=1)
-    log_lip = lip_top + np.log(np.sum(np.exp(lip - lip_top[:, None]), axis=1))
-    settled = log_lip <= math.log(min(tol, 0.5 * _ULP))
+    k0 = int(round(-math.log2(rho(xi))))    # rho rejects non-finite xi
+    settled = _lipschitz_size(xi, ks) <= min(tol, 0.5 * _ULP)
     out[settled] = 1.0
 
-    k0 = int(round(-math.log2(rho(xi))))
     m = ks - k0
     log2_tol = m + math.log2(tol)           # of the shell's tolerance
-    reach = (~settled & (top <= 700.0) & (m >= -1021) & (m <= 1023)
+    reach = (~settled & np.isfinite(dyadic_phase_size(xi, ks))
+             & (m >= -1021) & (m <= 1023)
              & (log2_tol >= -1022.0) & (log2_tol <= 1023.0))
-    m = m[reach]
+    m = m[reach].astype(int)
     outer = np.ldexp(1.0, m)
     sums = osc_integrals(
         _phase(np.ldexp(xi[:j_top], k0 * np.arange(1, j_top + 1))),
@@ -150,44 +176,14 @@ def sigma_hat_dyadics(xi, ks, tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-def sigma_hat_dyadic(xi, k: int, tol: float = 1e-10) -> complex:
-    """sigma_hat at dyadic scale 2^k, i.e. sigma_hat(delta_{2^k} xi): the
-    one-k case of sigma_hat_dyadics, QuadratureError where it is nan."""
-    z = complex(sigma_hat_dyadics(xi, (k,), tol)[0])
+def sigma_hat(xi, tol: float = 1e-10) -> complex:
+    """Transform of the shell measure: int_{1/2<|t|<=1} e^{-2 pi i xi.curve(t)} dt.
+
+    The k = 0 case of sigma_hat_dyadics; QuadratureError where it is nan."""
+    z = complex(sigma_hat_dyadics(xi, (0,), tol)[0])
     if cmath.isnan(z):
-        raise QuadratureError(f"sigma_hat beyond quadrature reach at k = {k}")
+        raise QuadratureError("sigma_hat beyond quadrature reach")
     return z
-
-
-def _normal_frequency(xi) -> np.ndarray:
-    """xi as a float array; ValueError naming the first subnormal coordinate.
-
-    A subnormal xi_j carries fewer significant bits than the certified bounds
-    assume (products such as L_j xi_j round coarsely), and for (xi_1, 0, ...)
-    the decay prefactor 2 / (pi |xi_1|) leaves double range.
-    """
-    xi = np.asarray(xi, dtype=float)
-    for j, v in enumerate(xi.ravel().tolist(), start=1):
-        if 0.0 < abs(v) < sys.float_info.min:
-            raise ValueError(f"xi_{j} = {v:.3g} is subnormal; nonzero "
-                             f"coordinates need |xi_j| >= {sys.float_info.min:.3g}")
-    return xi
-
-
-def dyadic_phase_size(xi, k: int) -> float:
-    """sum_j |xi_j| 2^{kj}, an upper proxy for total phase variation / 4 pi.
-
-    Returns inf when any term overflows double range; callers use this to
-    decide whether direct quadrature at scale k is affordable at all.
-    """
-    xi = np.asarray(xi, dtype=float)
-    nz = np.nonzero(xi)[0]
-    if len(nz) == 0:
-        return 0.0
-    logs = np.log(np.abs(xi[nz])) + k * (nz + 1.0) * _LN2
-    if np.max(logs) > 700.0:
-        return math.inf
-    return float(np.sum(np.exp(logs)))
 
 
 # --- certified upper bound for |sigma_hat| -------------------------------

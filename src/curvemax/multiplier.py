@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .curve_measure import (DyadicWindow, dyadic_phase_size,
                             sigma_hat_dyadics, sigma_hat_upper_bound,
-                            top_index, _decay_prefactor, _lipschitz_coeffs,
+                            top_index, _decay_prefactor, _lipschitz_size,
                             _normal_frequency)
 from .norms import _annulus_point, rho
 from .oscillatory import QuadratureError, _require_tol
@@ -78,9 +77,8 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
             eta = math.ldexp(vec[0], k)
             values[i] = 2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat[i]
     else:
-        quad = [i for i, k in enumerate(ks)
-                if 8.0 * dyadic_phase_size(vec, k) <= PRACTICAL_PANEL_CAP]
-        values[quad] = (sigma_hat_dyadics(vec, [ks[i] for i in quad], quad_tol)
+        quad = 8.0 * dyadic_phase_size(vec, ks) <= PRACTICAL_PANEL_CAP
+        values[quad] = (sigma_hat_dyadics(vec, np.asarray(ks)[quad], quad_tol)
                         - p_hat[quad])
     mags = np.array([abs(z) for z in values.tolist()])
     for i in np.flatnonzero(np.isnan(mags)).tolist():
@@ -97,14 +95,8 @@ def _lower_tail_sq(xi, rho_xi: float, j_lo: int, k_first: int) -> float:
     the first j_lo coordinates dropped and rho(xi) - rho(y) it bounds
     |nu_hat(xi) - nu_hat(y)| for y, the truncation of xi to them.
     """
-    xi = np.asarray(xi, dtype=float)
-    # L_j < 8, so L_j xi_j overflows only for |xi_j| near the double maximum;
-    # there the sum is formed from xi / 8 and multiplied back
-    scale = 8.0 if np.max(np.abs(xi)) > sys.float_info.max / 8.0 else 1.0
-    weighted = _lipschitz_coeffs(len(xi)) * (xi / scale)
-    weighted[:j_lo] = 0.0
     k = k_first - 1
-    b = math.ldexp(rho_xi, k) + dyadic_phase_size(weighted, k) * scale
+    b = math.ldexp(rho_xi, k) + _lipschitz_size(xi, k, j_lo)
     return (4.0 / 3.0) * b ** 2
 
 

@@ -164,10 +164,12 @@ def test_sigma_hat_bound_at_huge_coordinates(capsys):
     assert json.loads(out)["rows"][0]["certified_bound"] < 1.0
 
 
-@pytest.mark.parametrize("xi, k", [("1,1", "-3000"), ("1e-300", "-1100")])
+@pytest.mark.parametrize("xi, k", [("1,1", "-3000"), ("1e-300", "-1100"),
+                                   ("1,1", "-100000000000000000000")])
 def test_sigma_hat_row_where_the_envelope_is_unbounded(capsys, xi, k):
     # this far below k = 0 the decay terms leave double range; the row must
-    # still be emitted, as strict JSON, with the trivial bound
+    # still be emitted, as strict JSON, with the trivial bound (k = -10^20,
+    # past the 64-bit integers, ended in an OverflowError traceback)
     code, out, _ = run_cli(capsys, "sigma-hat", "--xi", xi,
                            "--k-lo", k, "--k-hi", k)
     assert code == 0
@@ -177,6 +179,18 @@ def test_sigma_hat_row_where_the_envelope_is_unbounded(capsys, xi, k):
 
     (row,) = json.loads(out, parse_constant=reject)["rows"]
     assert row["certified_bound"] == 1.0
+
+
+def test_sigma_hat_range_stays_within_double_range(capsys):
+    # two million scales ran on with no output and no error
+    code, out, err = run_cli(capsys, "sigma-hat", "--xi", "1,1",
+                             "--k-lo", "-1000000", "--k-hi", "1000000")
+    assert code == 2 and out == ""
+    assert f"spans more than {cli.MAX_SCALES} scales" in err
+    code, out, _ = run_cli(capsys, "sigma-hat", "--xi", "1,1",
+                           "--k-lo", "-2098", "--k-hi", "2045")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == cli.MAX_SCALES == 4144
 
 
 def test_json_meta_carries_resolved_parameters(capsys):

@@ -6,8 +6,9 @@ import pytest
 
 from curvemax.curve_measure import (CurveCoeffs, DyadicWindow,
                                     dyadic_phase_size, mu_hat, sigma_hat,
-                                    sigma_hat_dyadic, sigma_hat_upper_bound,
+                                    sigma_hat_dyadics, sigma_hat_upper_bound,
                                     top_index, _decay_prefactor)
+from curvemax.multiplier import g_profile, induction_diagnostics, nu_hat
 from curvemax.norms import dilate, rho
 
 
@@ -53,7 +54,7 @@ def test_odd_coordinates_alone_give_real_transform():
 def test_dyadic_scale_is_a_dilation(k):
     rng = np.random.default_rng(23 + k)
     xi = rng.standard_normal(3)
-    direct = sigma_hat_dyadic(xi, k, tol=1e-12)
+    direct = sigma_hat_dyadics(xi, (k,), tol=1e-12)[0]
     scaled = sigma_hat(dilate(xi, 2.0 ** k), tol=1e-12)
     assert direct == pytest.approx(scaled, abs=1e-10)
 
@@ -73,7 +74,7 @@ def test_certified_bound_majorizes():
         if dyadic_phase_size(xi, k) > 1e5:
             continue
         bound = sigma_hat_upper_bound(xi, k)
-        val = abs(sigma_hat_dyadic(xi, k, tol=1e-11))
+        val = abs(sigma_hat_dyadics(xi, (k,), tol=1e-11)[0])
         assert val <= min(1.0, bound) + 1e-9
 
 
@@ -153,6 +154,50 @@ def test_decay_prefactor_at_the_top_of_double_range():
 def test_phase_size_overflow_is_inf():
     assert dyadic_phase_size((1.0, 1.0), 2000) == np.inf
     assert dyadic_phase_size((0.0, 0.0), 3) == 0.0
+    # over many scales at once, each value is the one-scale value bit for bit
+    rng = np.random.default_rng(13)
+    ks = range(-1100, 1101)
+    for d in range(1, 17):
+        xi = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0, d)
+        xi[rng.random(d) < 0.3] = 0.0
+        xi[-1] = 1.5
+        sizes = dyadic_phase_size(xi, ks)
+        one = [dyadic_phase_size(xi, k) for k in ks]
+        assert all(isinstance(v, float) for v in one)
+        assert sizes.tolist() == one
+        assert np.isinf(sizes[-1]) and sizes[0] == 0.0
+    zeros = dyadic_phase_size(np.zeros(4), ks)
+    assert zeros.tolist() == [0.0] * len(ks)
+
+
+def test_sigma_hat_is_the_unit_scale_shell():
+    rng = np.random.default_rng(19)
+    for d in (1, 2, 3, 5, 8, 16):
+        xi = _annulus(rng, d)
+        for tol in (1e-6, 1e-11):
+            assert sigma_hat(xi, tol) == sigma_hat_dyadics(xi, (0,), tol)[0]
+
+
+_ENTRY_POINTS = {
+    "sigma_hat": sigma_hat,
+    "mu_hat": mu_hat,
+    "sigma_hat_dyadics": lambda xi: sigma_hat_dyadics(xi, (-2, 0, 3)),
+    "sigma_hat_upper_bound": lambda xi: sigma_hat_upper_bound(xi, 0),
+    "nu_hat": nu_hat,
+    "g_profile": g_profile,
+    "induction_diagnostics": induction_diagnostics,
+    "rho": rho,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_entry_points_reject_non_finite_coordinates(name, bad):
+    # sigma_hat_upper_bound read 1.0 at nan and a "certified" 0.0 at inf
+    for xi in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            _ENTRY_POINTS[name](xi)
 
 
 def test_dyadic_window_iterates_inclusive():

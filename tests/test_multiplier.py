@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from curvemax import acceptance
+from curvemax.curve_measure import dyadic_phase_size, _lipschitz_coeffs
 from curvemax.multiplier import (g_profile, induction_diagnostics,
-                                 log_growth_experiment, nu_hat, sup_search)
+                                 log_growth_experiment, nu_hat, sup_search,
+                                 _lower_tail_sq)
 from curvemax.norms import dilate, rho
 from curvemax.oscillatory import QuadratureError
 
@@ -251,3 +254,31 @@ def test_profile_entries_against_quadpack(xi):
         assert abs(val - ref) <= prof.quad_tol + err, k
         checked += 1
     assert checked
+
+
+def test_lower_tail_is_the_weighted_phase_size_on_criterion_6_inputs(
+        monkeypatch):
+    # the tail's Lipschitz sum is shared with sigma_hat_dyadics' settle rule;
+    # on criterion 6's profiles it must still be the weighted one-scale sum
+    seen = []
+    true_profile = acceptance.g_profile
+
+    def recorded(xi, tol):
+        prof = true_profile(xi, tol=tol)
+        seen.append(prof)
+        return prof
+
+    monkeypatch.setattr(acceptance, "g_profile", recorded)
+    acceptance.run("multiplier-profile", seed=0, quick=True)
+    assert len(seen) > 10
+    for prof in seen:
+        xi = np.asarray(prof.xi)
+        rho_xi = float(rho(xi))
+        for j_lo in {0, len(xi) // 2}:
+            weighted = _lipschitz_coeffs(len(xi)) * xi
+            weighted[:j_lo] = 0.0
+            for k in range(prof.window.k_min - 3, prof.window.k_max + 1):
+                b = math.ldexp(rho_xi, k - 1) + dyadic_phase_size(weighted,
+                                                                  k - 1)
+                assert (_lower_tail_sq(xi, rho_xi, j_lo, k)
+                        == (4.0 / 3.0) * b ** 2)

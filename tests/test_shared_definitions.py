@@ -1,16 +1,23 @@
-"""Each CLI subcommand runs its criterion's own definition.
+"""Each CLI subcommand runs its criterion's own definition, and each
+per-scale quantity has one definition.
 
 The subcommands bind flags onto the acceptance experiments, so a subcommand
 restricted to a criterion's preset reports the criterion's numbers, and every
-random stream comes from one table of non-overlapping families.
+random stream comes from one table of non-overlapping families.  The shell
+transform is integrated in one place (curve_measure.sigma_hat_dyadics), and
+the phase size and the Lipschitz sum are each read from one definition over
+many scales.
 """
 
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import curvemax
 from curvemax import acceptance, cli
 from curvemax.multiplier import GrowthRow, GrowthTable
 from curvemax.rng import FAMILIES, SEED_DERIVATION, STREAMS
@@ -121,3 +128,80 @@ def test_stream_families_never_share_a_key():
 def test_seed_derivation_names_every_entry():
     for name in list(STREAMS) + list(FAMILIES):
         assert f" {name}=" in SEED_DERIVATION
+
+
+def _modules() -> dict:
+    package = Path(curvemax.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _calls(node) -> list:
+    return [_callee(n) for n in ast.walk(node) if isinstance(n, ast.Call)]
+
+
+def _functions(tree) -> dict:
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_shell_transform_is_integrated_in_one_place():
+    # (module, top-level definition) of each osc_integrals call
+    sites = [(mod, getattr(node, "name", None))
+             for mod, tree in _modules().items() for node in tree.body
+             for name in _calls(node) if name == "osc_integrals"]
+    assert [site for site in sites if site[0] != "oscillatory"] == [
+        ("curve_measure", "sigma_hat_dyadics")]
+    sigma_hat = _functions(_modules()["curve_measure"])["sigma_hat"]
+    assert not {"osc_integral", "osc_integrals"} & set(_calls(sigma_hat))
+
+
+def _code_names(tree) -> set:
+    """Names a module reads in code; string constants (docstrings) do not
+    count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_lipschitz_weights_are_read_only_in_curve_measure():
+    for mod, tree in _modules().items():
+        if mod != "curve_measure":
+            assert not {"_lipschitz_coeffs", "_LN2"} & _code_names(tree), mod
+
+
+def _per_iteration(node) -> list:
+    """The parts of a loop or comprehension that run once per iteration."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.target] + node.body
+    if isinstance(node, ast.While):
+        return [node.test] + node.body
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        first, *rest = node.generators
+        return [node.elt, first.target, *first.ifs, *rest]
+    if isinstance(node, ast.DictComp):
+        first, *rest = node.generators
+        return [node.key, node.value, first.target, *first.ifs, *rest]
+    return []
+
+
+def test_phase_size_is_one_call_over_the_scales():
+    # the quadrature gates read dyadic_phase_size once over all their scales
+    modules = _modules()
+    for mod in ("multiplier", "cli"):
+        repeated = [name for node in ast.walk(modules[mod])
+                    for part in _per_iteration(node) for name in _calls(part)]
+        assert "dyadic_phase_size" not in repeated, mod
+        assert "dyadic_phase_size" in _calls(modules[mod]), mod

@@ -32,12 +32,10 @@ from .maxop import (
 )
 from .multiplier import (
     GrowthRow,
-    GrowthTable,
     InductionDiagnostics,
     MultiplierProfile,
     g_profile,
     induction_diagnostics,
-    log_growth_experiment,
     nu_hat,
     sup_search,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "DyadicWindow",
     "GridFunction",
     "GrowthRow",
-    "GrowthTable",
     "InductionDiagnostics",
     "MAX_DIMENSION",
     "MultiplierProfile",
@@ -99,7 +96,6 @@ __all__ = [
     "gamma_reduce",
     "gram_psd_check",
     "induction_diagnostics",
-    "log_growth_experiment",
     "make_space",
     "mu_hat",
     "nu_hat",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,8 +29,7 @@ import numpy as np
 from .curve_measure import DyadicWindow, mu_hat, sigma_hat
 from .grid import from_callable
 from .maxop import sandwich_check, split_check
-from .multiplier import (g_profile, induction_diagnostics,
-                         log_growth_experiment, nu_hat)
+from .multiplier import g_profile, induction_diagnostics, nu_hat, sup_search
 from .norms import (_annulus_point, ball_volume, dilate, make_space,
                     polar_integration_check, quasi_triangle_ratio, rho)
 from .oscillatory import (PhasePoly, sublevel_measure, vdc_bound_check,
@@ -358,14 +357,26 @@ def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
 def log_growth(seed: int, d_list, budget: int, tol: float, ind_dims,
                per_dim: int) -> tuple:
     """Monotone sup estimates, bounded ratio to log(d+2), induction terms;
-    one row per dimension holds its sup search."""
-    table = log_growth_experiment(d_list, budget=budget, seed=seed, tol=tol)
-    rows = [{"d": row.d, "sup_estimate": row.sup_estimate,
-             "g_lower": row.g_lower, "sup_g_lower": row.sup_g_lower,
-             "envelope_share": row.envelope_share,
-             "tail_bound": row.tail_bound, "evals": row.evals,
-             "argmax": row.argmax} for row in table.rows]
-    sups = [row.sup_estimate for row in table.rows]
+    one row per dimension holds its sup search.
+
+    Each search also starts from the argmax of the largest dimension so far,
+    zero-padded; the profile treats padded vectors identically in any
+    ambient dimension, so the sups are monotone along the list by
+    construction.  The slope is a least-squares fit against log(d+1).
+    """
+    rows, prev = [], ()
+    for d in d_list:
+        pad = [prev + (0.0,) * (d - len(prev))] if 0 < len(prev) < d else []
+        rows.append(sup_search(d, budget=budget, seed=seed, tol=tol,
+                               extra_starts=pad))
+        if len(prev) <= d:
+            prev = rows[-1].argmax
+    sups = [row.sup_estimate for row in rows]
+    if len(rows) >= 2:
+        slope, intercept = np.polyfit(np.log(np.array(d_list, dtype=float)
+                                             + 1.0), sups, 1)
+    else:
+        slope, intercept = 0.0, sups[0]
     monotone = all(b >= a for a, b in zip(sups[:-1], sups[1:]))
     ratios = [s / math.log(d + 2.0) for s, d in zip(sups, d_list)]
     spread = max(ratios) / min(ratios)
@@ -383,11 +394,11 @@ def log_growth(seed: int, d_list, budget: int, tol: float, ind_dims,
 
     details = {
         "d_list": list(d_list), "budget": budget, "profile_tol": tol,
-        "rows": rows,
+        "rows": [asdict(row) for row in rows],
         "monotone": monotone,
         "ratio_to_log": ratios,
         "ratio_spread": {"value": spread, "limit": 3.0},
-        "fit_slope": table.fit_slope, "fit_intercept": table.fit_intercept,
+        "fit_slope": slope, "fit_intercept": intercept,
         "induction_max_far_term": max_far,
         "induction_max_near_term": max_near,
         "induction_points_per_dim": per_dim,

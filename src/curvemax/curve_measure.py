@@ -196,9 +196,12 @@ def sigma_hat(xi, tol: float = 1e-10) -> complex:
 # certifies 2 (min(sub(delta), 1/2) + 6D/delta).  For small delta, sub ~
 # A delta^{1/D} with A = 8 (kappa_D / (2M))^{1/D}, and sigma_hat_upper_bound
 # takes the exact sub at delta' = (6D^2 / A)^{D/(D+1)}, the minimizer of
-# A delta^{1/D} + 6D/delta.  Its min with G 2^{-k} (_decay_prefactor: twice
-# the closed-form minimum of 8 (kappa_D delta / M_top)^{1/D} + 6D/delta, with
-# M_top <= M the top coefficient) is certified because both bounds are.
+# A delta^{1/D} + 6D/delta.  No cap by G 2^{-k} (_decay_prefactor: twice the
+# closed-form minimum of 8 (kappa_D delta / M_top)^{1/D} + 6D/delta, with
+# M_top <= M the top coefficient) is needed: 2 cosh(Du) <= (2 cosh u)^D gives
+# sub(delta) <= A delta^{1/D} for every delta, and A <= 2^{-1/D} 8 (kappa_D /
+# M_top)^{1/D}, so the Remez term is at most 2^{-1/(D+1)} G 2^{-k} wherever
+# G 2^{-k} < 1; where delta' < 1, both terms exceed 1.
 
 
 @lru_cache(maxsize=None)
@@ -281,11 +284,7 @@ def sigma_hat_upper_bound(xi, k: int) -> float:
     log_delta = deg / (deg + 1.0) * (math.log(pieces * deg) - log_a)
     sub = 4.0 / (1.0 + _inv_chebyshev(log_m - log_kappa - log_delta, deg))
     osc = pieces * math.exp(-max(log_delta, 0.0))  # > 1 for delta < 1 anyway
-    try:
-        decay = math.ldexp(_decay_prefactor(xi), -k)
-    except OverflowError:
-        decay = math.inf
-    return min(1.0, 2.0 * (min(sub, 0.5) + osc), decay)
+    return min(1.0, 2.0 * (min(sub, 0.5) + osc))
 
 
 def gamma_reduce(f: GridFunction, gamma: CurveCoeffs) -> GridFunction:

@@ -17,7 +17,9 @@ is affordable, and otherwise the certified upper bound itself, marked
 envelope-only, so the reported g never silently drops mass (it may only
 overshoot, and g_lower tracks the quadrature-only certified floor).  A
 window's quadrature entries take one pass of the panel engine over its
-dyadic shells (curve_measure.sigma_hat_dyadics).
+dyadic shells (curve_measure.sigma_hat_dyadics).  sup_search estimates
+sup g in one dimension; the growth experiment across dimensions, with its
+padded starts and its fit against log(d+1), is acceptance.log_growth.
 """
 
 from __future__ import annotations
@@ -271,21 +273,12 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
 class GrowthRow:
     d: int
     sup_estimate: float
-    argmax: tuple
-    evals: int
-    seed: int
-    tail_bound: float
     g_lower: float              # at the argmax
     sup_g_lower: float          # largest g_lower evaluated
     envelope_share: float       # envelope-only share of the argmax's entries
-
-
-@dataclass(frozen=True)
-class GrowthTable:
-    rows: tuple
-    fit_slope: float
-    fit_intercept: float
-    residuals: tuple
+    tail_bound: float
+    evals: int
+    argmax: tuple
 
 
 def sup_search(d: int, budget: int = 1000, seed: int = 0, *, tol: float,
@@ -344,38 +337,7 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, *, tol: float,
         if not moved:
             step *= 0.5
 
-    return GrowthRow(d=d, sup_estimate=best.g_value, argmax=best.xi,
-                     evals=evals, seed=seed, tail_bound=best.tail_bound,
-                     g_lower=best.g_lower, sup_g_lower=sup_lower,
-                     envelope_share=len(best.envelope_only) / len(best.values))
-
-
-def log_growth_experiment(d_list=(1, 2, 4, 8, 16), budget: int = 1000,
-                          seed: int = 0, *, tol: float) -> GrowthTable:
-    """sup g across dimensions with a log fit.
-
-    Each dimension's search is seeded with the previous argmax zero-padded to
-    the new dimension; the profile treats padded vectors identically in any
-    ambient dimension, so the estimates are monotone along the list by
-    construction.
-    """
-    rows = []
-    prev = None
-    for d in d_list:
-        starts = []
-        if prev is not None and len(prev) < d:
-            starts.append(tuple(prev) + (0.0,) * (d - len(prev)))
-        rows.append(sup_search(d, budget=budget, seed=seed, tol=tol,
-                               extra_starts=starts))
-        if prev is None or len(prev) <= d:
-            prev = rows[-1].argmax
-    xs = np.log(np.array([r.d for r in rows], dtype=float) + 1.0)
-    ys = np.array([r.sup_estimate for r in rows])
-    if len(rows) >= 2:
-        slope, intercept = np.polyfit(xs, ys, 1)
-    else:
-        slope, intercept = 0.0, float(ys[0])
-    resid = ys - (slope * xs + intercept)
-    return GrowthTable(rows=tuple(rows), fit_slope=float(slope),
-                       fit_intercept=float(intercept),
-                       residuals=tuple(float(r) for r in resid))
+    return GrowthRow(d=d, sup_estimate=best.g_value, g_lower=best.g_lower,
+                     sup_g_lower=sup_lower,
+                     envelope_share=len(best.envelope_only) / len(best.values),
+                     tail_bound=best.tail_bound, evals=evals, argmax=best.xi)

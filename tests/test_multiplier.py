@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from curvemax import acceptance
-from curvemax.curve_measure import dyadic_phase_size, _lipschitz_coeffs
-from curvemax.multiplier import (g_profile, induction_diagnostics,
-                                 log_growth_experiment, nu_hat, sup_search,
-                                 _lower_tail_sq)
+from curvemax.curve_measure import (dyadic_phase_size, sigma_hat_dyadics,
+                                   _lipschitz_coeffs)
+from curvemax.multiplier import (g_profile, induction_diagnostics, nu_hat,
+                                 sup_search, _lower_tail_sq, _poisson_hat)
 from curvemax.norms import dilate, rho
 from curvemax.oscillatory import QuadratureError
 
@@ -113,15 +113,14 @@ def test_sup_search_dominates_dense_grid():
 
 
 def test_growth_table_monotone_and_fits():
-    table = log_growth_experiment(d_list=(1, 2, 4), budget=120, seed=0,
-                                  tol=2e-3)
-    sups = [r.sup_estimate for r in table.rows]
+    table = acceptance.run("log-growth", quick=True, d_list=(1, 2, 4),
+                           budget=120, ind_dims=(), per_dim=0).details
+    sups = [r["sup_estimate"] for r in table["rows"]]
     assert sups == sorted(sups)
-    assert all(np.isfinite(r.sup_estimate) for r in table.rows)
-    assert all(r.g_lower <= r.sup_g_lower <= r.sup_estimate
-               for r in table.rows)
-    assert np.isfinite(table.fit_slope)
-    assert len(table.residuals) == 3
+    assert all(np.isfinite(s) for s in sups)
+    assert all(r["g_lower"] <= r["sup_g_lower"] <= r["sup_estimate"]
+               for r in table["rows"])
+    assert np.isfinite(table["fit_slope"])
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -2e-3, 1.0, 5.0])
@@ -154,6 +153,20 @@ def test_induction_terms_bounded_on_sample():
             diag = induction_diagnostics(xi, tol=5e-3)
             assert diag.term_far + diag.term_far_tail < 100.0
             assert diag.term_near + diag.term_near_tail < 100.0
+
+
+def test_near_term_envelope_fallback_bounds_the_difference():
+    # k_split = 19; at k = 13..19 the phase of xi is past the profile's
+    # panel cap, so each near entry falls back to the sum of the moduli of
+    # nu_hat(xi) (its envelope) and nu_hat(y), which must still bound the
+    # difference that quadrature at a tighter tolerance reaches
+    xi, y = np.array([1.0, 1e-12]), np.array([1.0, 0.0])
+    diag = induction_diagnostics(xi, tol=2e-3)
+    near = np.arange(13, 20)
+    assert set(near.tolist()) <= set(diag.envelope_ks)
+    diff = [(sigma_hat_dyadics(v, near, 1e-6)
+             - [_poisson_hat(int(k), rho(v)) for k in near]) for v in (xi, y)]
+    assert diag.term_near >= math.sqrt(np.sum(np.abs(diff[0] - diff[1]) ** 2))
 
 
 @pytest.mark.parametrize("scale", [2.0**190, 2.0**-190, 2.0**-500],

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from curvemax.norms import (MAX_DIMENSION, ball_volume, dilate, make_space,
@@ -25,16 +25,38 @@ def test_homogeneous_dimension(d, alpha):
     assert make_space(d).alpha == alpha
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
-def test_homogeneity_and_symmetry(d):
-    rng = np.random.default_rng(2024 + d)
-    for _ in range(20):
-        x = rng.standard_normal((50, d)) * 10.0 ** rng.uniform(-6, 6, (50, 1))
-        s = 10.0 ** rng.uniform(-3, 3, 50)
-        r = rho(x)
-        assert np.all(r > 0)
-        np.testing.assert_allclose(rho(dilate(x, s)), s * r, rtol=1e-12)
-        np.testing.assert_array_equal(rho(-x), r)
+@st.composite
+def _dilation_case(draw, d=None):
+    """(x, s): d as given or drawn in 1..64, s in [1e-3, 1e3], and
+    coordinates that are zero or normal with s^j x_j normal too."""
+    if d is None:
+        d = draw(st.integers(1, MAX_DIMENSION))
+    s = draw(st.floats(1e-3, 1e3))
+    x = []
+    for j in range(1, d + 1):
+        shift = j * math.log2(s)
+        e = draw(st.integers(math.ceil(max(-1021, -1021 - shift)),
+                             math.floor(min(1022, 1022 - shift))))
+        mant = draw(st.one_of(st.just(0.0),
+                              st.floats(1.0, 2.0, exclude_max=True),
+                              st.floats(-2.0, -1.0, exclude_min=True)))
+        x.append(math.ldexp(mant, e))
+    assume(any(x))
+    return np.array(x), s
+
+
+# the smallest and largest dimensions and a few between are pinned, so each
+# run reaches them; the last case draws d across 1..64
+@pytest.mark.parametrize("d", [1, 2, 3, 8, MAX_DIMENSION, None],
+                         ids=["1", "2", "3", "8", "64", "any"])
+@given(data=st.data())
+def test_homogeneity_and_symmetry(d, data):
+    # criterion 1's gate: 1e-12 relative; symmetry holds exactly
+    x, s = data.draw(_dilation_case(d))
+    r = rho(x)
+    assert r > 0
+    assert rho(dilate(x, s)) == pytest.approx(s * r, rel=1e-12)
+    assert rho(-x) == r
 
 
 def test_extreme_scales_survive():

@@ -6,7 +6,8 @@ restricted to a criterion's preset reports the criterion's numbers, and every
 random stream comes from one table of non-overlapping families.  The shell
 transform is integrated in one place (curve_measure.sigma_hat_dyadics), and
 the phase size and the Lipschitz sum are each read from one definition over
-many scales.
+many scales.  Criterion 7's growth experiment, the sup search per dimension
+and the fit, is defined only in acceptance.log_growth.
 """
 
 import ast
@@ -19,7 +20,7 @@ import pytest
 
 import curvemax
 from curvemax import acceptance, cli
-from curvemax.multiplier import GrowthRow, GrowthTable
+from curvemax.multiplier import GrowthRow
 from curvemax.rng import FAMILIES, SEED_DERIVATION, STREAMS
 
 
@@ -64,16 +65,12 @@ def test_growth_subcommands_report_criterion_7_rows(capsys):
 
 
 def test_log_growth_verdict_is_criterion_7(capsys, monkeypatch):
-    def falling_table(d_list, budget, seed, tol):
-        rows = tuple(GrowthRow(d=d, sup_estimate=2.0 - 0.25 * i,
-                               argmax=(1.0,) + (0.0,) * (d - 1), evals=budget,
-                               seed=seed, tail_bound=0.0, g_lower=1.0,
-                               sup_g_lower=1.0, envelope_share=0.0)
-                     for i, d in enumerate(d_list))
-        return GrowthTable(rows=rows, fit_slope=-1.0, fit_intercept=2.0,
-                           residuals=(0.0,) * len(rows))
+    def falling_search(d, budget, seed, *, tol, extra_starts):
+        return GrowthRow(d=d, sup_estimate=2.0 - 0.25 * d, g_lower=1.0,
+                         sup_g_lower=1.0, envelope_share=0.0, tail_bound=0.0,
+                         evals=budget, argmax=(1.0,) + (0.0,) * (d - 1))
 
-    monkeypatch.setattr(acceptance, "log_growth_experiment", falling_table)
+    monkeypatch.setattr(acceptance, "sup_search", falling_search)
     code, doc = run_cli(capsys, "log-growth", "--quick", "--d-list", "1,2",
                         "--format", "json")
     assert code == 1
@@ -205,3 +202,13 @@ def test_phase_size_is_one_call_over_the_scales():
                     for part in _per_iteration(node) for name in _calls(part)]
         assert "dyadic_phase_size" not in repeated, mod
         assert "dyadic_phase_size" in _calls(modules[mod]), mod
+
+
+def test_growth_experiment_is_defined_in_acceptance():
+    # criterion 7 runs the sup searches and fits the slope; multiplier only
+    # searches one dimension
+    modules = _modules()
+    callers = [mod for mod, tree in modules.items()
+               if "sup_search" in _calls(tree)]
+    assert callers == ["acceptance"]
+    assert "polyfit" not in _calls(modules["multiplier"])

@@ -1,15 +1,19 @@
 """Maximal averages along the moment curve on sampled grids (d <= 3).
 
-All operators share one primitive, _translate_sum: the sum of the lattice
-translates f(x - p) over a point set, by multilinear interpolation of the
-zero-extended lattice, evaluated as one sparse stencil over integer offsets.
-Curve and shell averages pass the curve points (t, t^2, ..., t^d) at
-midpoint nodes in t; Poisson averages pass draws from the stable-mixture
-kernel, whose heavy-tailed draws simply spread the stencil (those that land
-off the grid drop out of it), and also ask for the exact sum of per-draw
-squares behind their standard error.  Each maximal function is a pointwise max
-of such averages over radii, dyadic shells or Poisson scales.  A general curve
-(gamma_1 t, ..., gamma_d t^d) goes through curve_measure.gamma_reduce.
+All operators share one stencil, _stencil: the sum of the lattice translates
+f(x - p) over a point set, by multilinear interpolation of the zero-extended
+lattice, is one stencil over integer offsets, scattered densely onto its
+bounding box.  Curve and shell averages pass the curve points (t, t^2, ...,
+t^d) at midpoint nodes in t and apply the stencil exactly, one slice-add per
+nonzero offset (_translate_sum).  Poisson averages pass draws from the
+stable-mixture kernel, whose heavy-tailed draws spread the stencil over
+thousands of offsets (those that land off the grid drop out of it), and also
+need the exact sum of per-draw squares behind their standard error; they
+apply every stencil layer as one circular convolution by FFT
+(_translate_sums_fft), whose rounding sits many orders below their Monte
+Carlo error.  Each maximal function is a pointwise max of such averages over
+radii, dyadic shells or Poisson scales.  A general curve (gamma_1 t, ...,
+gamma_d t^d) goes through curve_measure.gamma_reduce.
 
 Two comparison checks accompany the operators.  The sandwich check measures
 how far the dyadic and continuous maxima drift from the two-sided pointwise
@@ -28,6 +32,7 @@ from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .curve_measure import DyadicWindow
 from .grid import GridFunction
@@ -60,62 +65,103 @@ def _corner_pairs(d: int):
     return corners, deltas, pairs
 
 
-def _translate_sum(f: GridFunction, pts: np.ndarray, squares: bool = False):
-    """(sum_p f(x - p), sum_p f(x - p)^2 or None) over the rows p of pts.
+def _stencil(f: GridFunction, pts: np.ndarray, squares: bool):
+    """(low, S): the stencil of the translates f(x - p) over the rows p of
+    pts, dense on its bounding box of offsets [low, high + 1].
 
     Every translate reads the zero-extended lattice multilinearly: with pixel
     offset s = p / step, n = floor(s) and fr = s - n it is
     sum_{c in {0,1}^d} w_c(fr) f[i - n - c].  The sum over pts is therefore
-    one sparse stencil, sum_m S[m] f[i - m], applied as one slice-add per
-    nonzero offset m.  The squares expand exactly the same way:
+    one stencil, sum_m S[0][m - low] f[i - m].  With squares the layers
+    1 + q hold the stencils T_delta of the exact sum of squares,
     sum_p (sum_c w_c f[i-n-c])^2 = sum_delta sum_m T_delta[m] Q_delta[i - m]
-    with Q_delta[u] = f[u] f[u - delta] and T_delta[n + c] accumulating
-    w_c w_{c+delta}, where delta and -delta share one stencil (the weight-2
-    pairs of _corner_pairs).  A translate with n outside [-N, N - 1] on an
-    axis of N points reads only zeros and is dropped from the stencil.
+    with Q_delta[u] = f[u] f[u - delta] for the q-th delta of _corner_pairs
+    and T_delta[n + c] accumulating w_c w_{c+delta}, where delta and -delta
+    share one stencil (the weight-2 pairs).  A translate with n outside
+    [-N, N - 1] on an axis of N points reads only zeros and is dropped.  One
+    bincount adds each entry's weights in the order of pts.
     """
-    samples = f.samples
-    shape = np.array(samples.shape)
-    span = 2 * shape + 1  # offsets n + c lie in [-N, N] on each axis
+    shape = np.array(f.samples.shape)
     s = np.asarray(pts, dtype=float).reshape(-1, f.d) / np.array(f.steps)
     n = np.floor(s)
     on_grid = np.all((n >= -shape) & (n <= shape - 1), axis=1)
-    fr = (s - n)[on_grid]
+    fr, n = (s - n)[on_grid], n[on_grid].astype(np.int64)
     corners, deltas, pairs = _corner_pairs(f.d)
     # w[p, c] = prod over axes of fr (c_a = 1) or 1 - fr (c_a = 0)
     w = np.prod(np.where(corners, fr[:, None, :], 1.0 - fr[:, None, :]), axis=2)
-    # flat index of the offset n + c in the box [-N, N]^d, per point and corner
-    flat = (np.ravel_multi_index((n[on_grid].astype(np.int64) + shape).T, span)[:, None]
-            + np.ravel_multi_index(corners.T, span))
-
-    # one stencil over (offset, source layer): layer 0 reads f itself and
-    # layer 1 + q reads Q_delta for the q-th delta
-    sources = [samples]
+    low = n.min(axis=0) if len(n) else np.zeros(f.d, dtype=np.int64)
+    box = (n.max(axis=0) if len(n) else low) - low + 2
+    # flat index of the offset n + c in the box, per point and corner
+    flat = (np.ravel_multi_index((n - low).T, box)[:, None]
+            + np.ravel_multi_index(corners.T, box))
     n_layers = 1 + len(deltas) if squares else 1
     keys, weights = [flat * n_layers], [w]
     if squares:
-        sources += [samples * _read(samples, delta) for delta in deltas]
         for i, j, mult, layer in pairs:
             keys.append(flat[:, i] * n_layers + layer)
             weights.append(mult * w[:, i] * w[:, j])
-    rows, inverse = np.unique(np.concatenate([k.ravel() for k in keys]),
-                              return_inverse=True)
-    stencil = np.bincount(inverse, minlength=len(rows),
-                          weights=np.concatenate([x.ravel() for x in weights]))
-    flat_rows, layers = np.divmod(rows, n_layers)
-    offsets = np.stack(np.unravel_index(flat_rows, span), axis=-1) - shape
+    stencil = np.bincount(np.concatenate([k.ravel() for k in keys]),
+                          weights=np.concatenate([x.ravel() for x in weights]),
+                          minlength=int(np.prod(box)) * n_layers)
+    return low, np.moveaxis(stencil.reshape(*box, n_layers), -1, 0)
 
+
+def _translate_sum(f: GridFunction, pts: np.ndarray) -> np.ndarray:
+    """sum_p f(x - p) over the rows p of pts, exactly as a stencil sum.
+
+    One slice-add per nonzero stencil offset, in lexicographic offset order:
+    every term is a nonnegative sample times a nonnegative weight, so the
+    curve and shell averages keep exact identities such as the mean of a
+    constant inside the box.
+    """
+    samples = f.samples
+    low, stencil = _stencil(f, pts, squares=False)
+    weights = stencil[0].ravel()
+    nonzero = np.flatnonzero(weights)
+    offsets = np.stack(np.unravel_index(nonzero, stencil.shape[1:]), axis=-1) + low
     acc = np.zeros_like(samples)
-    acc_sq = np.zeros_like(samples) if squares else None
-    last = None  # rows come sorted by offset, so each offset's layers are adjacent
-    for m, layer, weight in zip(offsets.tolist(), layers.tolist(), stencil.tolist()):
-        if weight == 0.0:
-            continue
-        if m != last:
-            dst, src = _offset_slices(m, samples.shape)
-            last = m
-        (acc_sq if layer else acc)[dst] += weight * sources[layer][src]
-    return acc, acc_sq
+    for m, weight in zip(offsets.tolist(), weights[nonzero].tolist()):
+        dst, src = _offset_slices(m, samples.shape)
+        acc[dst] += weight * samples[src]
+    return acc
+
+
+def _translate_sums_fft(f: GridFunction, pts: np.ndarray):
+    """(sum_p f(x - p), sum_p f(x - p)^2) over the rows p of pts, each
+    stencil layer of _stencil applied as one circular convolution.
+
+    Layer 0 convolves f; layer 1 + q convolves Q_delta.  The square layers'
+    spectra are summed and inverted once.  On an axis of N points with
+    stencil box [low, high + 1] of width B, the circular length
+    L >= max(N + B - 1 + low, N - low) keeps the N wanted outputs free of
+    aliasing: output i reads f[(i - m) mod L] over m in [low, high + 1],
+    and i - m lies in [-(high + 1), N - 1 - low].  A negative i - m wraps to
+    at least L - (high + 1) = L - (B - 1 + low) >= N, and an i - m >= N
+    wraps to at most N - 1 - low - L < 0, so every read off the grid reads a
+    zero pad.  Where B > L, rfftn crops box entries m >= low + L >= N,
+    which read only zeros for every output.
+
+    Both sums are sums of nonnegative terms, so both are clamped at 0:
+    rounding, measured at most 3 eps len(pts) max(f)^k (k = 1 for the sum,
+    2 for the squares), is the only way they go negative.
+    """
+    samples = f.samples
+    low, stencil = _stencil(f, pts, squares=True)
+    _, deltas, _ = _corner_pairs(f.d)
+    size = [next_fast_len(int(max(n + b - 1 + lo, n - lo)), real=True)
+            for n, b, lo in zip(samples.shape, stencil.shape[1:], low)]
+    spectrum = rfftn(stencil[0], s=size)
+    spectrum *= rfftn(samples, s=size)
+    spectrum_sq = np.zeros_like(spectrum)
+    for layer, delta in zip(stencil[1:], deltas):
+        product = rfftn(layer, s=size)
+        product *= rfftn(samples * _read(samples, delta), s=size)
+        spectrum_sq += product
+    # output i sits at (i - low) mod L: the stencil box starts at offset low
+    window = np.ix_(*[(np.arange(n) - lo) % size_a
+                      for n, lo, size_a in zip(samples.shape, low, size)])
+    return tuple(np.maximum(irfftn(x, s=size)[window], 0.0)
+                 for x in (spectrum, spectrum_sq))
 
 
 def _offset_slices(m, shape):
@@ -150,7 +196,7 @@ def _average_over(f: GridFunction, t_samples: int, lo: float, hi: float,
     if escaped > ESCAPE_WARN_FRACTION * len(ts):
         warnings.warn(f"curve left the grid for {escaped}/{len(ts)} nodes",
                       RuntimeWarning, stacklevel=3)
-    acc, _ = _translate_sum(f, pts)
+    acc = _translate_sum(f, pts)
     return f.with_samples(acc * (1.0 / len(ts)))
 
 
@@ -267,8 +313,10 @@ class PoissonMax(NamedTuple):
 def _poisson_average(f: GridFunction, t: float, mc_samples: int,
                      rng: np.random.Generator):
     """Monte Carlo mean of f * P_t over kernel draws, and its standard error."""
+    if mc_samples < 100:
+        raise ValueError("need at least 100 Monte Carlo samples")
     pts, _ = sample_kernel_batch(make_space(f.d), t, mc_samples, rng)
-    acc, acc_sq = _translate_sum(f, pts, squares=True)
+    acc, acc_sq = _translate_sums_fft(f, pts)
     mean = acc / mc_samples
     var = np.maximum(acc_sq / mc_samples - mean * mean, 0.0)
     return mean, np.sqrt(var / mc_samples)
@@ -283,8 +331,8 @@ def poisson_max(f: GridFunction, t_set: Sequence[float], mc_samples: int = 2000,
     error of the per-scale mean is reported at the maximizing points; a
     warning fires when it exceeds 10 percent.
     """
-    if mc_samples < 100:
-        raise ValueError("need at least 100 Monte Carlo samples")
+    if not len(t_set):
+        raise ValueError("need at least one scale")
     scales = [_poisson_average(f, t, mc_samples,
                                family_stream(seed, "poisson-max", idx))
               for idx, t in enumerate(sorted(t_set))]

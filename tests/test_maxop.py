@@ -51,6 +51,16 @@ def test_input_validation():
         continuous_max(f, [])
     with pytest.raises(ValueError):
         poisson_max(f, [1.0], mc_samples=50)
+    with pytest.raises(ValueError, match="at least one scale"):
+        poisson_max(f, [])
+
+
+@pytest.mark.parametrize("mc", [0, 1, -5])
+def test_split_check_needs_100_monte_carlo_draws(mc):
+    # one draw reported passed=True, 0 a nan report, -5 numpy's
+    # "negative dimensions"; poisson_max already had the rule
+    with pytest.raises(ValueError, match="at least 100 Monte Carlo"):
+        split_check(bump_grid(n=33), WINDOW, t_samples=64, mc_samples=mc)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf])
@@ -132,8 +142,8 @@ def test_averages_are_means_of_translates_over_midpoint_nodes():
 
 @pytest.mark.parametrize("d, n", [(1, 40), (2, 17), (3, 9)])
 def test_translate_sum_matches_per_translate_sums(d, n):
-    # the whole grid, boundary band included: the stencil reads the same
-    # zero-extended lattice as each translate does
+    # the whole grid, boundary band included: both stencil paths read the
+    # same zero-extended lattice as each translate does
     rng = np.random.default_rng(20 + d)
     f = GridFunction(mins=(-1.0,) * d, steps=tuple(rng.uniform(0.1, 0.3, d)),
                      samples=rng.uniform(0.0, 2.0, (n,) * d))
@@ -145,15 +155,84 @@ def test_translate_sum_matches_per_translate_sums(d, n):
         [[1e300] * d, [-1e300] * d],                     # far off the grid
         [(n - 0.5) * steps, -(n + 0.5) * steps],         # just off either end
     ])
-    acc, acc_sq = maxop._translate_sum(f, pts, squares=True)
     translates = np.array([f.shifted(p) for p in pts])
     ref, ref_sq = translates.sum(axis=0), (translates**2).sum(axis=0)
+    exact = maxop._translate_sum(f, pts)
+    np.testing.assert_allclose(exact, ref, rtol=1e-13, atol=1e-13 * ref.max())
+    acc, acc_sq = maxop._translate_sums_fft(f, pts)
     np.testing.assert_allclose(acc, ref, rtol=1e-13, atol=1e-13 * ref.max())
     np.testing.assert_allclose(acc_sq, ref_sq, rtol=1e-13,
                                atol=1e-13 * ref_sq.max())
-    plain, none = maxop._translate_sum(f, pts)
-    np.testing.assert_array_equal(plain, acc)
-    assert none is None
+    np.testing.assert_allclose(acc, exact, rtol=1e-13, atol=1e-13 * exact.max())
+
+
+def fft_rounding_bound(f: GridFunction, n_pts: int, power: int) -> float:
+    """Absolute bound c * eps * n_pts * max(f)^power on how far the FFT path
+    may sit from the per-translate reference, with c derived as follows.
+
+    Each FFT-path output is u = S * g, a stencil layer S >= 0 of total
+    weight at most P = n_pts applied to data g >= 0 (g = f, or the square
+    layers, whose weights also total at most P, on Q_delta <= max f^2), on
+    n = prod L circular points with L <= 3N per axis (L is the next 5-smooth
+    length >= at most 2N).  With eta_n = log2(n) * eta:
+    - the transform of g errs by at most eta_n ||g||_2 sqrt(n) in 2-norm
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+      Thm 24.2), and is multiplied by |rfft(S)| <= ||S||_1 = P;
+    - the transform of S errs by at most eta_n P in every entry: each
+      butterfly pass commits at most eta times the l1 norm of its inputs,
+      and the nodes of one pass that feed an output partition S;
+    - the inverse errs by at most eta_n ||u||_2 <= eta_n P ||g||_2 (Young).
+    Scaled by the inverse's 1/sqrt(n) in 2-norm, each of the three adds at
+    most eta_n P ||g||_2 to ||u_fft - u||_2, which bounds every entry, and
+    ||g||_2 <= N^(d/2) max g.  eta = 8 eps covers radix-2 butterflies with
+    twiddles good to an ulp (about 6.7 eps) with room for pocketfft's
+    radix-3 and -5 passes, so c_fft = 3 * 8 * log2((3N)^d) * N^(d/2).  The
+    reference adds its own rounding: each translate is 2^d multiply-adds
+    (and a square), and the row-by-row sum of n_pts of them errs by at most
+    n_pts eps / 2 per unit of n_pts max g, so c = c_fft + 2^d + 2 + n_pts.
+    Measured errors stay below 3 eps n_pts max(f)^power on every family
+    below.
+    """
+    n, d = f.samples.shape[0], f.d
+    c = 3 * 8 * math.log2((3 * n) ** d) * n ** (d / 2) + 2**d + 2 + n_pts
+    return c * np.finfo(float).eps * n_pts * float(f.samples.max()) ** power
+
+
+def fft_path_families(d: int, n: int, steps: np.ndarray,
+                      rng: np.random.Generator) -> dict:
+    """Point sets whose stencils sit at the edges of the circular layout."""
+    fr = rng.uniform(0.0, 1.0, (60, d))
+    cells = rng.integers(0, n, (60, d))
+    return {
+        "offsets >= 0": (cells + fr) * steps,
+        "offsets <= 0": -(cells + fr) * steps,
+        "n = -N and N - 1": np.concatenate([(fr[:30] - n) * steps,
+                                            (fr[30:] + n - 1) * steps]),
+        "off the grid": np.concatenate([(fr[:30] + n) * steps,
+                                        -(fr[30:] + n + 1) * steps]),
+        # n = N - 1 on every axis: only corner c = 0 reaches the grid, and
+        # only at the last grid point, with weight 0.1^d
+        "corner only": np.array([(n - 0.1) * steps]),
+    }
+
+
+@pytest.mark.parametrize("d, n", [(1, 40), (2, 17), (3, 9)])
+def test_fft_path_at_the_edges_of_its_circular_layout(d, n):
+    rng = np.random.default_rng(40 + d)
+    f = GridFunction(mins=(-1.0,) * d, steps=tuple(rng.uniform(0.1, 0.3, d)),
+                     samples=rng.uniform(0.0, 2.0, (n,) * d))
+    for name, pts in fft_path_families(d, n, np.array(f.steps), rng).items():
+        translates = np.array([f.shifted(p) for p in pts])
+        acc, acc_sq = maxop._translate_sums_fft(f, pts)
+        for power, got in ((1, acc), (2, acc_sq)):
+            ref = (translates**power).sum(axis=0)
+            err = float(np.max(np.abs(got - ref)))
+            assert err <= fft_rounding_bound(f, len(pts), power), (name, power)
+            assert np.all(got >= 0.0), (name, power)
+        if name == "off the grid":
+            assert not acc.any() and not acc_sq.any()
+        if name == "corner only":
+            assert np.flatnonzero(maxop._translate_sum(f, pts)).tolist() == [n**d - 1]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -162,13 +241,15 @@ def test_translate_sum_of_whole_cell_shifts_and_of_no_points(d):
     f = GridFunction(mins=(0.0,) * d, steps=(0.25,) * d,
                      samples=rng.uniform(0.5, 2.0, (6,) * d))
     cells = rng.integers(-7, 8, (30, d))
-    acc, acc_sq = maxop._translate_sum(f, 0.25 * cells, squares=True)
     translates = np.array([f.shifted(0.25 * c) for c in cells])
+    acc = maxop._translate_sum(f, 0.25 * cells)
     np.testing.assert_allclose(acc, translates.sum(axis=0), rtol=1e-14)
+    _, acc_sq = maxop._translate_sums_fft(f, 0.25 * cells)
     np.testing.assert_allclose(acc_sq, (translates**2).sum(axis=0), rtol=1e-14)
-    empty, empty_sq = maxop._translate_sum(f, np.empty((0, d)), squares=True)
-    np.testing.assert_array_equal(empty, 0.0)
-    np.testing.assert_array_equal(empty_sq, 0.0)
+    none = np.empty((0, d))
+    np.testing.assert_array_equal(maxop._translate_sum(f, none), 0.0)
+    for empty in maxop._translate_sums_fft(f, none):
+        np.testing.assert_array_equal(empty, 0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -176,12 +257,13 @@ def test_half_cell_shift_reads_the_zero_extended_lattice(d):
     # grid-constant boundary: the edge cell interpolates between the last
     # sample and the zero outside, where mode "constant" read 0 outright
     f = GridFunction(mins=(0.0,) * d, steps=(0.5,) * d, samples=np.full((5,) * d, 3.0))
-    shift = (0.25,) * d
-    acc, acc_sq = maxop._translate_sum(f, np.array([shift]), squares=True)
+    shift = np.array([(0.25,) * d])
+    acc = maxop._translate_sum(f, shift)
+    _, acc_sq = maxop._translate_sums_fft(f, shift)
     edge = (0,) * d
     assert acc[edge] == pytest.approx(3.0 / 2**d, rel=1e-15)
     assert acc_sq[edge] == pytest.approx((3.0 / 2**d) ** 2, rel=1e-15)
-    assert f.shifted(shift)[edge] == pytest.approx(3.0 / 2**d, rel=1e-15)
+    assert f.shifted(shift[0])[edge] == pytest.approx(3.0 / 2**d, rel=1e-15)
     assert acc[(1,) * d] == pytest.approx(3.0, rel=1e-15)
 
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from curvemax import acceptance
+from curvemax import acceptance, oscillatory
 from curvemax.acceptance import CRITERIA, jsonable, run_all
 
 
@@ -44,4 +44,16 @@ def test_envelope_gate_catches_an_inflated_nu_hat(monkeypatch):
                          dims=(1,), per_dim=1)
     env = res.details["base_case_envelope_constant"]
     assert env["value"] > env["limit"]
+    assert not res.passed
+
+
+def test_sublevel_oracle_row_catches_a_shrunk_measure(monkeypatch):
+    # criterion 5 compares the root-based measure with a brute 400,000-cell
+    # grid; a measure 10% too small must leave that row above its 1e-4 gate
+    true_measure = oscillatory.sublevel_measure
+    monkeypatch.setattr(oscillatory, "sublevel_measure",
+                        lambda *args, **kwargs: 0.9 * true_measure(*args, **kwargs))
+    res = acceptance.run("oscillatory-bounds", quick=True)
+    row = res.details["sublevel_vs_root_oracle_max_err"]
+    assert row["value"] > row["tol"]
     assert not res.passed

@@ -264,7 +264,7 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
     tol = _check_tol(_resolve(ns, cfg, "tol", default=1e-10))
     ks = range(k_lo, k_hi + 1)
     try:
-        bounds = [sigma_hat_upper_bound(xi, k) for k in ks]
+        bounds = sigma_hat_upper_bound(xi, ks).tolist()
     except ValueError as exc:
         raise ConfigError(f"--xi: {exc}")
     vals = np.full(len(ks), np.nan, dtype=complex)

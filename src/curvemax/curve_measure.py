@@ -11,10 +11,11 @@ scale's phase size and Lipschitz bound on |sigma_hat - 1| come from
 dyadic_phase_size and _lipschitz_size, which take many scales per call.
 
 Besides plain evaluation this module holds the profile's certified decay
-bound, min(1, G 2^{-k}, Remez sublevel plus monotone-piece estimate at its
-closed-form optimum delta'), derived above _kappa.  The bound is keyed to
-the top nonzero index of xi, so zero-padded vectors get bit-identical
-treatment in any ambient dimension.
+bound, sigma_hat_upper_bound, also over many scales per call: min(1, Remez
+sublevel plus monotone-piece estimate at its closed-form optimum delta'),
+derived above _kappa, where it is shown never above G 2^{-k}.  The bound is
+keyed to the top nonzero index of xi, so zero-padded vectors get
+bit-identical treatment in any ambient dimension.
 """
 
 from __future__ import annotations
@@ -248,43 +249,44 @@ def _decay_prefactor(xi) -> float:
     return 2.0 * c0 * math.exp(-log_m1)
 
 
-def _inv_chebyshev(log_x: float, deg: int) -> float:
-    """cosh(arccosh(x)/deg) for x = exp(log_x) >= 1, stable for huge x."""
-    if log_x <= 0.0:
-        return 1.0
-    if log_x > 40.0:
-        y = log_x + _LN2  # arccosh(x) = log(2x) up to O(x^-2)
-    else:
-        y = math.acosh(math.exp(log_x))
-    y /= deg
-    return math.inf if y > 700.0 else math.cosh(y)
-
-
-def sigma_hat_upper_bound(xi, k: int) -> float:
-    """Certified bound on |sigma_hat(delta_{2^k} xi)|; always <= 1.
+def sigma_hat_upper_bound(xi, ks):
+    """Certified bound on |sigma_hat(delta_{2^k} xi)| for each k in ks (a
+    float for one k); always <= 1.
 
     ValueError for a subnormal coordinate, where the bound rounds coarsely."""
     xi = _normal_frequency(xi)
+    ks = np.asarray(ks, dtype=float)
     j_top = top_index(xi)
     if j_top == 0:
-        return 1.0
+        return 1.0 if ks.ndim == 0 else np.ones(ks.shape)
     nz = np.nonzero(xi)[0]
     js = nz + 1.0
     # log M as a sum of logs, so that no factor overflows
-    log_m = math.log(2.0 * math.pi) + float(
-        np.max(np.log(js) + np.log(np.abs(xi[nz])) + k * js * _LN2))
+    log_m = math.log(2.0 * math.pi) + np.max(
+        np.log(js) + np.log(np.abs(xi[nz])) + np.multiply.outer(ks, js) * _LN2,
+        axis=-1)
     if j_top == 1:
         # single-frequency piece integrates exactly: |int e^{ict}| <= 2/|c|
-        return min(1.0, 2.0 * math.exp(min(_LN2 - log_m, 0.0)))
-
-    deg = j_top - 1
-    log_kappa = math.log(_kappa(deg))
-    pieces = 6.0 * deg
-    log_a = math.log(8.0) + (log_kappa - _LN2 - log_m) / deg
-    log_delta = deg / (deg + 1.0) * (math.log(pieces * deg) - log_a)
-    sub = 4.0 / (1.0 + _inv_chebyshev(log_m - log_kappa - log_delta, deg))
-    osc = pieces * math.exp(-max(log_delta, 0.0))  # > 1 for delta < 1 anyway
-    return min(1.0, 2.0 * (min(sub, 0.5) + osc))
+        out = np.minimum(1.0, 2.0 * np.exp(np.minimum(_LN2 - log_m, 0.0)))
+    else:
+        deg = j_top - 1
+        log_kappa = math.log(_kappa(deg))
+        pieces = 6.0 * deg
+        log_a = math.log(8.0) + (log_kappa - _LN2 - log_m) / deg
+        log_delta = deg / (deg + 1.0) * (math.log(pieces * deg) - log_a)
+        # T_D^{-1}(x) = cosh(arccosh(x) / D) for x = exp(log_x) >= 1, where
+        # arccosh(x) = log(2x) up to O(x^-2) past log_x = 40; the clips keep
+        # the branches not taken finite
+        log_x = log_m - log_kappa - log_delta
+        y = np.where(log_x > 40.0, log_x + _LN2,
+                     np.arccosh(np.exp(np.clip(log_x, 0.0, 40.0)))) / deg
+        inv_t = np.where(log_x <= 0.0, 1.0, np.where(
+            y > 700.0, math.inf, np.cosh(np.minimum(y, 700.0))))
+        sub = 4.0 / (1.0 + inv_t)
+        # > 1 for delta < 1 anyway
+        osc = pieces * np.exp(-np.maximum(log_delta, 0.0))
+        out = np.minimum(1.0, 2.0 * (np.minimum(sub, 0.5) + osc))
+    return float(out) if out.ndim == 0 else out
 
 
 def gamma_reduce(f: GridFunction, gamma: CurveCoeffs) -> GridFunction:

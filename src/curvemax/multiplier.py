@@ -15,11 +15,12 @@ in the profile, in both induction terms and in nu_hat, comes from _entries:
 closed form for a linear phase, quadrature while the total phase variation
 is affordable, and otherwise the certified upper bound itself, marked
 envelope-only, so the reported g never silently drops mass (it may only
-overshoot, and g_lower tracks the quadrature-only certified floor).  A
-window's quadrature entries take one pass of the panel engine over its
-dyadic shells (curve_measure.sigma_hat_dyadics).  sup_search estimates
-sup g in one dimension; the growth experiment across dimensions, with its
-padded starts and its fit against log(d+1), is acceptance.log_growth.
+overshoot, and g_lower is the l2 of each entry's certified floor, set where
+its source is chosen).  A window's quadrature entries take one pass of the
+panel engine over its dyadic shells (curve_measure.sigma_hat_dyadics).
+sup_search estimates sup g in one dimension; the growth experiment across
+dimensions, with its padded starts and its fit against log(d+1), is
+acceptance.log_growth.
 """
 
 from __future__ import annotations
@@ -61,31 +62,33 @@ def _poisson_hat(k: int, rho_vec: float) -> float:
 
 
 def _entries(vec, ks, rho_vec: float, quad_tol: float):
-    """(values, moduli, exact) of nu_hat(delta_{2^k} vec) for k in ks.
+    """(values, moduli, floors) of nu_hat(delta_{2^k} vec) for k in ks.
 
-    A purely linear phase integrates in closed form (exact), which keeps
-    entries exact at any scale and zero-padded frequencies identical in
-    every ambient dimension.  General phases use quadrature while the total
-    phase variation stays affordable; elsewhere, or when quadrature fails,
-    the value is nan and the modulus is the certified envelope.
+    A purely linear phase integrates in closed form, which keeps entries
+    exact at any scale and zero-padded frequencies identical in every
+    ambient dimension.  General phases use quadrature while the total phase
+    variation stays affordable; elsewhere, or when quadrature fails, the
+    value is nan and the modulus is the certified envelope.  The floor is
+    the certified lower bound on the modulus: the modulus itself in closed
+    form, less quad_tol for quadrature, and 0 for an envelope entry.
 
     Quadrature takes one sigma_hat_dyadics call over the window's shells.
     """
-    exact = top_index(vec) <= 1
-    p_hat = np.array([_poisson_hat(k, rho_vec) for k in ks])
+    ks = np.asarray(ks)
+    p_hat = np.array([_poisson_hat(k, rho_vec) for k in ks.tolist()])
+    if top_index(vec) <= 1:
+        eta = np.ldexp(vec[0], ks)
+        values = 2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat
+        mags = np.abs(values)
+        return values, mags, mags
     values = np.full(len(ks), np.nan, dtype=complex)
-    if exact:
-        for i, k in enumerate(ks):
-            eta = math.ldexp(vec[0], k)
-            values[i] = 2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat[i]
-    else:
-        quad = 8.0 * dyadic_phase_size(vec, ks) <= PRACTICAL_PANEL_CAP
-        values[quad] = (sigma_hat_dyadics(vec, np.asarray(ks)[quad], quad_tol)
-                        - p_hat[quad])
+    quad = 8.0 * dyadic_phase_size(vec, ks) <= PRACTICAL_PANEL_CAP
+    values[quad] = sigma_hat_dyadics(vec, ks[quad], quad_tol) - p_hat[quad]
     mags = np.array([abs(z) for z in values.tolist()])
-    for i in np.flatnonzero(np.isnan(mags)).tolist():
-        mags[i] = min(2.0, sigma_hat_upper_bound(vec, ks[i]) + p_hat[i])
-    return values, mags, exact
+    env = np.isnan(mags)
+    mags[env] = np.minimum(2.0, sigma_hat_upper_bound(vec, ks[env])
+                           + p_hat[env])
+    return values, mags, np.where(env, 0.0, np.maximum(mags - quad_tol, 0.0))
 
 
 def _lower_tail_sq(xi, rho_xi: float, j_lo: int, k_first: int) -> float:
@@ -129,7 +132,7 @@ def _window_edge(tail_sq, start: int, step: int, tol: float,
 def _window_entries(vec, ks, rho_vec: float, tol: float):
     """_entries over the window ks at quad_tol = tol / (8 sqrt(len(ks))),
     which keeps the window's summed quadrature error within tol / 8;
-    returns (values, moduli, exact, quad_tol)."""
+    returns (values, moduli, floors, quad_tol)."""
     quad_tol = tol / (8.0 * math.sqrt(len(ks)))
     return _entries(vec, ks, rho_vec, quad_tol) + (quad_tol,)
 
@@ -154,7 +157,7 @@ class MultiplierProfile:
     envelope_only: tuple        # ks where the bound stood in for quadrature
     tail_bound: float           # certified l2 mass outside the window
     g_value: float
-    g_lower: float              # quadrature-only certified lower bound
+    g_lower: float              # l2 of the entries' certified floors
     quad_tol: float
 
 
@@ -170,11 +173,10 @@ def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
                         "expanding the upper tail")
 
     ks = range(k_lo, k_hi + 1)
-    zs, values, exact, quad_tol = _window_entries(xi, ks, rho_xi, tol)
-    reached = ~np.isnan(zs)
+    zs, values, floors, quad_tol = _window_entries(xi, ks, rho_xi, tol)
     lower_sq = 0.0
-    for val in values[reached].tolist():
-        lower_sq += (val if exact else max(val - quad_tol, 0.0)) ** 2
+    for floor in floors.tolist():
+        lower_sq += floor ** 2
 
     tail_sq = lower_tail_sq(k_lo) + upper_tail_sq(k_hi)
     g_value = float(np.sqrt(np.sum(values**2)))
@@ -247,18 +249,20 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     # near piece: k <= k_split, difference against the truncated frequency
     near_tail_sq = partial(_lower_tail_sq, xi, rho_xi - rho_y, half)
     k_lo = _window_edge(near_tail_sq, k_split, -1, tol, "in the near term")
-    near_ks = range(k_lo, k_split + 1)
+    near_ks = np.arange(k_lo, k_split + 1)
     zx, vx, _, _ = _window_entries(xi, near_ks, rho_xi, tol)
     zy, vy, _, _ = _window_entries(y, near_ks, rho_y, tol)
+    # where either entry is beyond quadrature, the difference is at most the
+    # sum of the moduli and at most b(k) of _lower_tail_sq
+    apart = np.isnan(zx) | np.isnan(zy)
+    b = (np.ldexp(rho_xi - rho_y, near_ks)
+         + _lipschitz_size(xi, near_ks, half))
+    ws = np.where(apart, np.minimum(np.minimum(4.0, vx + vy), b),
+                  [abs(z) for z in (zx - zy).tolist()])
     near_sq = 0.0
-    for k, a, b, va, vb in zip(near_ks, zx.tolist(), zy.tolist(),
-                               vx.tolist(), vy.tolist()):
-        if cmath.isnan(a) or cmath.isnan(b):
-            w = min(4.0, va + vb)
-            envelope.append(k)
-        else:
-            w = abs(a - b)
+    for w in ws.tolist():
         near_sq += w * w
+    envelope += near_ks[apart].tolist()
 
     return InductionDiagnostics(
         xi=tuple(xi), y=tuple(y), j_pivot=j_pivot, threshold=threshold,

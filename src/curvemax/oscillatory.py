@@ -18,7 +18,7 @@ variation.  sublevel_measure cuts [a, b] at the roots of p -/+ delta.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,34 +286,25 @@ class BoundReport:
     measured: float
     bound_rhs: float
     ratio: float
-    details: dict = field(default_factory=dict)
 
 
 def vinogradov_check(p: PhasePoly, a: float, b: float, delta: float,
                      grid_points=None) -> BoundReport:
     """Sublevel measure against max(|a|,|b|) (delta / max|b_k|)^{1/d}.
 
-    The max runs over all coefficients, constant term b_0 included.  The
-    source material also uses the max over k >= 1 only, so the report
-    carries that alternate ratio in ``details``.  ``grid_points`` is ignored.
+    The max runs over all coefficients, constant term b_0 included.  A bound
+    with the max over k >= 1 only is never tighter, since max_{k>=1}|b_k| <=
+    max_{k>=0}|b_k|, so its ratio is never above this one.  ValueError for
+    a phase with no non-constant term.  ``grid_points`` is ignored.
     """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
+    if not any(p.coeffs):
+        raise ValueError("need a nonconstant phase")
     measured = sublevel_measure(p, a, b, delta)
-
-    def rhs(coeffs):
-        top = float(np.max(np.abs(coeffs)))
-        if top == 0.0:
-            raise ValueError("zero polynomial")
-        return max(abs(a), abs(b)) * (delta / top) ** (1.0 / p.degree)
-
-    def ratio(bound):       # at delta = 0 both sides are 0 and the bound holds
-        return measured / bound if bound > 0 else np.inf if measured else 0.0
-
-    primary, alternate = rhs(p.full_coeffs()), rhs(p.coeffs)
-    return BoundReport(measured=measured, bound_rhs=primary, ratio=ratio(primary),
-                       details={"alternate_bound": alternate,
-                                "alternate_ratio": ratio(alternate)})
+    top = float(np.max(np.abs(p.full_coeffs())))
+    bound = max(abs(a), abs(b)) * (delta / top) ** (1.0 / p.degree)
+    # at delta = 0 both sides are 0 and the bound holds
+    ratio = measured / bound if bound > 0 else np.inf if measured else 0.0
+    return BoundReport(measured=measured, bound_rhs=bound, ratio=ratio)
 
 
 def vdc_bound_check(p: PhasePoly, a: float, b: float,

@@ -135,12 +135,30 @@ def test_certified_bound_at_huge_coordinates():
     assert bound == pytest.approx(scaled, rel=1e-12, abs=0.0)
 
 
+def test_certified_bound_over_many_scales_is_its_one_scale_value():
+    # one call over k = -1100..1100 gives each one-k float bit for bit, at
+    # every d up to 64 and with zero coordinates, and warns of nothing
+    rng = np.random.default_rng(29)
+    ks = np.arange(-1100, 1101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(1, 65):
+            xi = np.sign(rng.standard_normal(d)) * 10.0 ** rng.uniform(-3, 3, d)
+            xi[rng.random(d) < 0.3] = 0.0
+            bounds = sigma_hat_upper_bound(xi, ks)
+            one = [sigma_hat_upper_bound(xi, k) for k in ks[d % 3::3].tolist()]
+            assert all(isinstance(v, float) for v in one)
+            assert bounds[d % 3::3].tolist() == one
+    assert sigma_hat_upper_bound(np.zeros(3), ks).tolist() == [1.0] * len(ks)
+
+
 @pytest.mark.parametrize("xi", [[0.0, 5e-324], [1e-310, 1.0]])
 def test_certified_bound_rejects_subnormal_coordinates(xi):
     # at [0, 5e-324] the bound rounded to 0.9320, below the 0.9477 of its
     # exact dilation [0, 1] at k = 3
-    with pytest.raises(ValueError, match="is subnormal"):
-        sigma_hat_upper_bound(xi, 540)
+    for ks in (540, range(-5, 600)):
+        with pytest.raises(ValueError, match="is subnormal"):
+            sigma_hat_upper_bound(xi, ks)
 
 
 def test_decay_prefactor_at_the_top_of_double_range():

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from curvemax import acceptance
+from curvemax import acceptance, multiplier
 from curvemax.curve_measure import (dyadic_phase_size, sigma_hat_dyadics,
                                    _lipschitz_coeffs)
 from curvemax.multiplier import (g_profile, induction_diagnostics, nu_hat,
-                                 sup_search, _lower_tail_sq, _poisson_hat)
+                                 sup_search, _entries, _lower_tail_sq,
+                                 _poisson_hat)
 from curvemax.norms import dilate, rho
 from curvemax.oscillatory import QuadratureError
 
@@ -158,8 +159,9 @@ def test_induction_terms_bounded_on_sample():
 def test_near_term_envelope_fallback_bounds_the_difference():
     # k_split = 19; at k = 13..19 the phase of xi is past the profile's
     # panel cap, so each near entry falls back to the sum of the moduli of
-    # nu_hat(xi) (its envelope) and nu_hat(y), which must still bound the
-    # difference that quadrature at a tighter tolerance reaches
+    # nu_hat(xi) (its envelope) and nu_hat(y), or to the difference bound
+    # b(k) where smaller, which must still bound the difference that
+    # quadrature at a tighter tolerance reaches
     xi, y = np.array([1.0, 1e-12]), np.array([1.0, 0.0])
     diag = induction_diagnostics(xi, tol=2e-3)
     near = np.arange(13, 20)
@@ -167,6 +169,50 @@ def test_near_term_envelope_fallback_bounds_the_difference():
     diff = [(sigma_hat_dyadics(v, near, 1e-6)
              - [_poisson_hat(int(k), rho(v)) for k in near]) for v in (xi, y)]
     assert diag.term_near >= math.sqrt(np.sum(np.abs(diff[0] - diff[1]) ** 2))
+
+
+def test_near_term_fallback_is_capped_by_the_difference_bound(monkeypatch):
+    # with quadrature off every near pair falls back, and each fallback is
+    # at most b(k) = 2^k (rho(xi) - rho(y)) + L_2 |xi_2| 4^k, the bound on
+    # |nu_hat(xi) - nu_hat(y)| that _lower_tail_sq derives; the sum of the
+    # moduli alone gave a near term of 2.88 here, against an l2 of 1.57
+    monkeypatch.setattr(multiplier, "PRACTICAL_PANEL_CAP", -1)
+    xi = np.array([1.0, 1e-6])
+    diag = induction_diagnostics(xi, tol=2e-3)
+    ks = np.arange(-200, math.floor(math.log2(diag.threshold)) + 1)
+    b = (np.ldexp(rho(xi) - rho([1.0, 0.0]), ks)
+         + _lipschitz_coeffs(2)[1] * np.ldexp(1e-6, 2 * ks))
+    assert diag.term_near <= math.sqrt(np.sum(b * b)) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_entry_floors_are_certified_lower_bounds(d):
+    # quadrature floors lie below |nu_hat| from a tighter quadrature,
+    # envelope floors are 0, and g_lower is the l2 of the floors
+    xi = _annulus_input(d, seed=2)
+    prof = g_profile(xi, tol=2e-3)
+    ks = np.asarray(prof.window.ks())
+    _, _, floors = _entries(xi, ks, rho(xi), prof.quad_tol)
+    env = np.isin(ks, prof.envelope_only)
+    assert env.any() and floors[env].tolist() == [0.0] * np.sum(env)
+    quad = ks[~env]
+    ref = np.abs(sigma_hat_dyadics(xi, quad, 1e-9)
+                 - [_poisson_hat(k, rho(xi)) for k in quad.tolist()])
+    assert not np.isnan(ref).any() and np.all(floors[~env] <= ref + 1e-9)
+    assert prof.g_lower == pytest.approx(math.sqrt(np.sum(floors**2)),
+                                         rel=1e-12)
+
+
+def test_entry_floors_of_a_linear_phase_are_the_moduli():
+    # the closed form over a window, against its one-k expression; its
+    # floors are its moduli
+    xi = np.array([0.7, 0.0, 0.0])
+    ks = np.arange(-60, 60)
+    values, mags, floors = _entries(xi, ks, rho(xi), 1e-4)
+    ref = [2.0 * np.sinc(2.0 * math.ldexp(0.7, k)) - np.sinc(math.ldexp(0.7, k))
+           - _poisson_hat(k, rho(xi)) for k in ks.tolist()]
+    assert values.tolist() == ref
+    assert floors.tolist() == mags.tolist() == np.abs(ref).tolist()
 
 
 @pytest.mark.parametrize("scale", [2.0**190, 2.0**-190, 2.0**-500],

@@ -5,9 +5,10 @@ The subcommands bind flags onto the acceptance experiments, so a subcommand
 restricted to a criterion's preset reports the criterion's numbers, and every
 random stream comes from one table of non-overlapping families.  The shell
 transform is integrated in one place (curve_measure.sigma_hat_dyadics), and
-the phase size and the Lipschitz sum are each read from one definition over
-many scales.  Criterion 7's growth experiment, the sup search per dimension
-and the fit, is defined only in acceptance.log_growth.
+the phase size, the Lipschitz sum and the certified envelope bound are each
+read from one definition over many scales.  Criterion 7's growth experiment,
+the sup search per dimension and the fit, is defined only in
+acceptance.log_growth.
 """
 
 import ast
@@ -195,13 +196,18 @@ def _per_iteration(node) -> list:
 
 
 def test_phase_size_is_one_call_over_the_scales():
-    # the quadrature gates read dyadic_phase_size once over all their scales
+    # the quadrature gates read dyadic_phase_size, and the envelope entries
+    # sigma_hat_upper_bound, once over all their scales; the near term reads
+    # its difference bound from one _lipschitz_size call
     modules = _modules()
     for mod in ("multiplier", "cli"):
         repeated = [name for node in ast.walk(modules[mod])
                     for part in _per_iteration(node) for name in _calls(part)]
-        assert "dyadic_phase_size" not in repeated, mod
-        assert "dyadic_phase_size" in _calls(modules[mod]), mod
+        for name in ("dyadic_phase_size", "sigma_hat_upper_bound",
+                     "_lipschitz_size"):
+            assert name not in repeated, (mod, name)
+        for name in ("dyadic_phase_size", "sigma_hat_upper_bound"):
+            assert name in _calls(modules[mod]), (mod, name)
 
 
 def test_growth_experiment_is_defined_in_acceptance():

@@ -211,7 +211,11 @@ def curve_average(f: GridFunction, r: float, t_samples: int = 256) -> GridFuncti
 def shell_average(f: GridFunction, k: int, t_samples: int = 256) -> GridFunction:
     """Dyadic shell average (1/2^k) int_{2^{k-1}<|t|<=2^k} f(x - curve(t)) dt
     by midpoint rule on t_samples // 2 cells of each half of the shell."""
-    return _average_over(f, t_samples, 2.0 ** (k - 1), 2.0**k, mirror=True)
+    try:
+        hi = 2.0**k
+    except OverflowError:
+        raise ValueError(f"shell 2^{k} is past the double range") from None
+    return _average_over(f, t_samples, 2.0 ** (k - 1), hi, mirror=True)
 
 
 def _pointwise_max(f: GridFunction, layers: Iterable[np.ndarray]) -> GridFunction:

@@ -10,17 +10,18 @@ is evaluated over a finite window chosen so both infinite tails carry a
 certificate: near k -> -infinity the small-argument Lipschitz bounds
 |sigma_hat(eta) - 1| <= sum_j L_j |eta_j| and |exp(-rho) - 1| <= rho halve
 from one k to the next, and near k -> +infinity the certified oscillation
-bound and exp(-2^k rho) <= 1/(2^k rho) decay geometrically.  Every entry,
-in the profile, in both induction terms and in nu_hat, comes from _entries:
-closed form for a linear phase, quadrature while the total phase variation
-is affordable, and otherwise the certified upper bound itself, marked
-envelope-only, so the reported g never silently drops mass (it may only
-overshoot, and g_lower is the l2 of each entry's certified floor, set where
-its source is chosen).  A window's quadrature entries take one pass of the
-panel engine over its dyadic shells (curve_measure.sigma_hat_dyadics).
-sup_search estimates sup g in one dimension; the growth experiment across
-dimensions, with its padded starts and its fit against log(d+1), is
-acceptance.log_growth.
+bound and exp(-2^k rho) <= 1/(2^k rho) decay geometrically.  Each edge is
+read off one evaluation of its tail bound over every scale it may reach.
+Every entry, in the profile, in both induction terms and in nu_hat, comes
+from _entries: closed form for a linear phase, quadrature while the total
+phase variation is affordable, and otherwise the certified upper bound
+itself, marked envelope-only, so the reported g never silently drops mass
+(it may only overshoot, and g_lower is the l2 of each entry's certified
+floor, set where its source is chosen).  A window's quadrature entries take
+one pass of the panel engine over its dyadic shells
+(curve_measure.sigma_hat_dyadics).  sup_search estimates sup g in one
+dimension; the growth experiment across dimensions, with its padded starts
+and its fit against log(d+1), is acceptance.log_growth.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -57,7 +57,10 @@ def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
 
 def _poisson_hat(k: int, rho_vec: float) -> float:
     """exp(-2^k rho), flushed to zero where it underflows."""
-    scale = math.ldexp(rho_vec, k)
+    try:
+        scale = math.ldexp(rho_vec, k)
+    except OverflowError:                   # 2^k rho past the double range
+        return 0.0
     return math.exp(-scale) if scale < 700.0 else 0.0
 
 
@@ -77,8 +80,12 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
     ks = np.asarray(ks)
     p_hat = np.array([_poisson_hat(k, rho_vec) for k in ks.tolist()])
     if top_index(vec) <= 1:
-        eta = np.ldexp(vec[0], ks)
-        values = 2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = np.ldexp(vec[0], ks)
+            values = 2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - p_hat
+        # sinc is nan only where pi 2^{k+1} |xi_1| overflows; eta is then an
+        # even integer, as every double past 2^53 is, so both sines vanish
+        values[np.isnan(values)] = 0.0
         mags = np.abs(values)
         return values, mags, mags
     values = np.full(len(ks), np.nan, dtype=complex)
@@ -91,42 +98,42 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
     return values, mags, np.where(env, 0.0, np.maximum(mags - quad_tol, 0.0))
 
 
-def _lower_tail_sq(xi, rho_xi: float, j_lo: int, k_first: int) -> float:
-    """Certified bound for sum_{k < k_first} of the squared entries.
-
-    b(k) = 2^k rho_xi + sum_{j > j_lo} L_j |xi_j| 2^{kj} bounds the entry at
-    scale k and at least halves per step down, so the sum is at most
-    4/3 b(k_first - 1)^2.  With j_lo = 0 and rho(xi) this is |nu_hat|; with
-    the first j_lo coordinates dropped and rho(xi) - rho(y) it bounds
-    |nu_hat(xi) - nu_hat(y)| for y, the truncation of xi to them.
-    """
-    k = k_first - 1
-    b = math.ldexp(rho_xi, k) + _lipschitz_size(xi, k, j_lo)
-    return (4.0 / 3.0) * b ** 2
+def _difference_bound(xi, rho_xi: float, j_lo: int, ks):
+    """b(k) = 2^k rho_xi + sum_{j > j_lo} L_j |xi_j| 2^{kj} for each k in ks,
+    which at least halves per step down: with j_lo = 0 and rho(xi), a bound
+    on |nu_hat|; with rho(xi) - rho(y), on |nu_hat(xi) - nu_hat(y)| for y,
+    xi truncated to its first j_lo coordinates."""
+    return np.ldexp(rho_xi, ks) + _lipschitz_size(xi, ks, j_lo)
 
 
-def _upper_tail_sq(g_decay: float, rho_xi: float, k_last: int) -> float:
-    """Certified bound for sum_{k > k_last} |nu_hat(delta_{2^k} xi)|^2."""
-    try:
-        b_osc = math.ldexp(g_decay, -(k_last + 1))
-    except OverflowError:
-        return math.inf
-    b_poi = 1.0 / math.ldexp(rho_xi, k_last + 1)
-    if b_osc > 1.0 or b_poi > 1.0:
-        return math.inf
-    return (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi)
+def _lower_tail_sq(xi, rho_xi: float, j_lo: int, ks):
+    """Certified bound 4/3 b(k - 1)^2 for the sum over k' < k of the squared
+    entries that b bounds, for each k in ks.  float_power calls the C
+    library's pow, as Python's b ** 2 does; numpy's ** squares instead."""
+    b = _difference_bound(xi, rho_xi, j_lo, ks - 1)
+    return (4.0 / 3.0) * np.float_power(b, 2.0)
 
 
-def _window_edge(tail_sq, start: int, step: int, tol: float,
-                 where: str) -> int:
-    """Step k outward from start until tail_sq(k), the mass beyond it, is
-    at most tol^2 / 2."""
-    k = start
-    while tail_sq(k) > 0.5 * tol * tol:
-        k += step
-        if step * (k - start) > WINDOW_LIMIT:
-            raise RuntimeError(f"window limit reached {where}")
-    return k
+def _upper_tail_sq(g_decay: float, rho_xi: float, ks):
+    """Certified bound for sum_{k' > k} |nu_hat(delta_{2^k'} xi)|^2 for each
+    k in ks; inf where G 2^{-k-1} or 1 / (2^{k+1} rho_xi) exceeds 1."""
+    with np.errstate(over="ignore"):            # G 2^{-k-1} past range is inf
+        b_osc = np.ldexp(g_decay, -1 - ks)
+        b_poi = 1.0 / np.ldexp(rho_xi, ks + 1)
+        return np.where((b_osc > 1.0) | (b_poi > 1.0), math.inf,
+                        (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi))
+
+
+def _window_edge(tail_sq, start: int, step: int, tol: float, where: str):
+    """The first k of start, start + step, ... (at most WINDOW_LIMIT steps)
+    whose tail_sq(k), the mass beyond it, is not above tol^2 / 2 or is nan,
+    and that tail; tail_sq takes all the scales in one call."""
+    ks = start + step * np.arange(WINDOW_LIMIT + 1)
+    tails = tail_sq(ks)
+    stop = np.flatnonzero(~(tails > 0.5 * tol * tol))
+    if not stop.size:
+        raise RuntimeError(f"window limit reached {where}")
+    return int(ks[stop[0]]), float(tails[stop[0]])
 
 
 def _window_entries(vec, ks, rho_vec: float, tol: float):
@@ -165,12 +172,11 @@ def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
     """Evaluate the profile at one frequency with certified truncation tails."""
     xi, rho_xi = _profile_frequency(xi, tol)
     k_center = int(round(-math.log2(rho_xi)))
-    lower_tail_sq = partial(_lower_tail_sq, xi, rho_xi, 0)
-    upper_tail_sq = partial(_upper_tail_sq, _decay_prefactor(xi), rho_xi)
-    k_lo = _window_edge(lower_tail_sq, k_center, -1, tol,
-                        "expanding the lower tail")
-    k_hi = _window_edge(upper_tail_sq, max(k_center, k_lo), 1, tol,
-                        "expanding the upper tail")
+    k_lo, lo_sq = _window_edge(lambda ks: _lower_tail_sq(xi, rho_xi, 0, ks),
+                               k_center, -1, tol, "expanding the lower tail")
+    k_hi, hi_sq = _window_edge(
+        lambda ks: _upper_tail_sq(_decay_prefactor(xi), rho_xi, ks),
+        max(k_center, k_lo), 1, tol, "expanding the upper tail")
 
     ks = range(k_lo, k_hi + 1)
     zs, values, floors, quad_tol = _window_entries(xi, ks, rho_xi, tol)
@@ -178,14 +184,13 @@ def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
     for floor in floors.tolist():
         lower_sq += floor ** 2
 
-    tail_sq = lower_tail_sq(k_lo) + upper_tail_sq(k_hi)
     g_value = float(np.sqrt(np.sum(values**2)))
     return MultiplierProfile(
         xi=tuple(float(v) for v in xi),
         window=DyadicWindow(k_lo, k_hi),
         values=tuple(float(v) for v in values),
         envelope_only=tuple(k for k, z in zip(ks, zs) if np.isnan(z)),
-        tail_bound=math.sqrt(tail_sq),
+        tail_bound=math.sqrt(lo_sq + hi_sq),
         g_value=g_value,
         # summation order can drift a few ulps; a lower bound must not exceed
         # the value it certifies
@@ -237,8 +242,9 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     k_split = math.floor(math.log2(threshold))
 
     # far piece: k > k_split, upper tail certified as in g_profile
-    far_tail_sq = partial(_upper_tail_sq, _decay_prefactor(xi), rho_xi)
-    k_hi = _window_edge(far_tail_sq, k_split + 1, 1, tol, "in the far term")
+    k_hi, far_tail_sq = _window_edge(
+        lambda ks: _upper_tail_sq(_decay_prefactor(xi), rho_xi, ks),
+        k_split + 1, 1, tol, "in the far term")
     far_ks = range(k_split + 1, k_hi + 1)
     zs, mags, _, _ = _window_entries(xi, far_ks, rho_xi, tol)
     far_sq = 0.0
@@ -247,16 +253,16 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     envelope = [k for k, z in zip(far_ks, zs) if np.isnan(z)]
 
     # near piece: k <= k_split, difference against the truncated frequency
-    near_tail_sq = partial(_lower_tail_sq, xi, rho_xi - rho_y, half)
-    k_lo = _window_edge(near_tail_sq, k_split, -1, tol, "in the near term")
+    k_lo, near_tail_sq = _window_edge(
+        lambda ks: _lower_tail_sq(xi, rho_xi - rho_y, half, ks), k_split, -1,
+        tol, "in the near term")
     near_ks = np.arange(k_lo, k_split + 1)
     zx, vx, _, _ = _window_entries(xi, near_ks, rho_xi, tol)
     zy, vy, _, _ = _window_entries(y, near_ks, rho_y, tol)
     # where either entry is beyond quadrature, the difference is at most the
-    # sum of the moduli and at most b(k) of _lower_tail_sq
+    # sum of the moduli and at most b(k)
     apart = np.isnan(zx) | np.isnan(zy)
-    b = (np.ldexp(rho_xi - rho_y, near_ks)
-         + _lipschitz_size(xi, near_ks, half))
+    b = _difference_bound(xi, rho_xi - rho_y, half, near_ks)
     ws = np.where(apart, np.minimum(np.minimum(4.0, vx + vy), b),
                   [abs(z) for z in (zx - zy).tolist()])
     near_sq = 0.0
@@ -267,8 +273,8 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     return InductionDiagnostics(
         xi=tuple(xi), y=tuple(y), j_pivot=j_pivot, threshold=threshold,
         term_far=math.sqrt(far_sq), term_near=math.sqrt(near_sq),
-        term_far_tail=math.sqrt(far_tail_sq(k_hi)),
-        term_near_tail=math.sqrt(near_tail_sq(k_lo)),
+        term_far_tail=math.sqrt(far_tail_sq),
+        term_near_tail=math.sqrt(near_tail_sq),
         envelope_ks=tuple(envelope),
     )
 

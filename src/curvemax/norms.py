@@ -156,6 +156,8 @@ def quasi_triangle_ratio(space: ParabolicSpace, trials: int = 10**5,
     Pairs are drawn with log-uniform relative scales so small-plus-large and
     comparable-size regimes are both explored.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     rng = stream(seed, STREAMS["quasi-triangle"])
     worst = 0.0
     remaining = trials

@@ -37,6 +37,8 @@ def stable_density_1d(beta: float, x: float, tol: float = 1e-10) -> float:
     _require_tol(tol)
     if not 1.0 <= beta <= 2.0:
         raise ValueError("beta must lie in [1, 2]")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     cutoff = max(5.0, (-math.log(tol / 8.0)) ** (1.0 / beta) + 2.0)
     decay = lambda u: np.exp(-u**beta)
     if x == 0.0:
@@ -114,8 +116,8 @@ class CheckResult(NamedTuple):
 def subordination_identity_check(x: float, gamma: float,
                                  tol: float = 1e-8) -> CheckResult:
     """x^gamma == gamma/Gamma(1-gamma) * int_0^inf (1 - e^{-tx}) t^{-gamma-1} dt."""
-    if x <= 0 or not 0.0 < gamma < 1.0:
-        raise ValueError("need x > 0 and gamma in (0, 1)")
+    if not 0.0 < x < math.inf or not 0.0 < gamma < 1.0:
+        raise ValueError("need finite x > 0 and gamma in (0, 1)")
     f = lambda s: (1.0 - np.exp(-s * x)) * s ** (-gamma - 1.0)
     cut = 1.0 / x
     # The s^{-gamma} singularity at 0 trips quad's roundoff heuristic; the
@@ -134,6 +136,8 @@ def subordination_identity_check(x: float, gamma: float,
 
 def gram_psd_check(points, t: float = 1.0) -> float:
     """Smallest eigenvalue of [exp(-t rho(x_i - x_j))]; PSD up to roundoff."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {t}")
     pts = np.asarray(points, dtype=float)
     gram = np.exp(-t * rho(pts[:, None, :] - pts[None, :, :]))
     return float(np.linalg.eigvalsh(gram)[0])

@@ -76,6 +76,12 @@ def test_continuous_max_rejects_non_finite_radius(r):
         continuous_max(constant_grid(), [0.5, r])
 
 
+def test_shell_past_the_double_range_is_rejected():
+    # 2.0 ** 1024 ended in a bare OverflowError
+    with pytest.raises(ValueError, match=r"2\^1024"):
+        shell_average(constant_grid(), 1024)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_poisson_max_rejects_non_finite_scale(t):
     # nan gave zeros with rel_stderr 0 and no warning

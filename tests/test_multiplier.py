@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from curvemax import acceptance, multiplier
+from curvemax import acceptance, curve_measure, multiplier
 from curvemax.curve_measure import (dyadic_phase_size, sigma_hat_dyadics,
-                                   _lipschitz_coeffs)
+                                   _decay_prefactor, _lipschitz_coeffs,
+                                   _lipschitz_size)
 from curvemax.multiplier import (g_profile, induction_diagnostics, nu_hat,
                                  sup_search, _entries, _lower_tail_sq,
-                                 _poisson_hat)
+                                 _poisson_hat, _upper_tail_sq)
 from curvemax.norms import dilate, rho
 from curvemax.oscillatory import QuadratureError
 
@@ -42,6 +43,26 @@ def test_nu_hat_far_below_the_window(k):
     # the shells of the batched quadrature are 2^{k - k0} wide and would
     # leave double range here; the Lipschitz bound settles sigma_hat = 1
     assert abs(nu_hat((1.0, 1.0), k)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1022, 1023, 1024, 1100, 5000])
+def test_linear_phase_entry_vanishes_past_the_double_range(k):
+    # pi 2^{k+1} |xi_1| overflows, so sinc was nan (a QuadratureError from
+    # k = 1022 on) and 2^k rho ended in math.ldexp's OverflowError from 1024
+    assert nu_hat((1.0,), k) == 0.0
+    assert nu_hat((-3.0, 0.0), k) == 0.0
+
+
+@pytest.mark.parametrize("k", [600, 1023, 1024, 1100])
+def test_general_entry_past_the_double_range_is_beyond_quadrature(k):
+    with pytest.raises(QuadratureError, match=f"k = {k}"):
+        nu_hat((1.0, 1.0), k)
+
+
+def test_poisson_entry_vanishes_where_its_scale_overflows():
+    assert _poisson_hat(1023, 1.0) == _poisson_hat(1024, 1.0) == 0.0
+    assert _poisson_hat(5000, 1e-300) == 0.0
+    assert _poisson_hat(0, 1.0) == math.exp(-1.0)
 
 
 @pytest.mark.parametrize("x", [0.03, 0.4, 1.0, 5.7, 40.0])
@@ -215,6 +236,30 @@ def test_entry_floors_of_a_linear_phase_are_the_moduli():
     assert floors.tolist() == mags.tolist() == np.abs(ref).tolist()
 
 
+@pytest.mark.parametrize("d", [2, 8, 16])
+def test_lipschitz_sums_do_not_grow_with_the_window(d, monkeypatch):
+    # each window edge takes its tail over all its scales in one call, so a
+    # profile's Lipschitz sums (its lower tails, its near-term cap and the
+    # settle rule of each quadrature window) are as many at any width
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _lipschitz_size(*args)
+
+    monkeypatch.setattr(multiplier, "_lipschitz_size", counted)
+    monkeypatch.setattr(curve_measure, "_lipschitz_size", counted)
+    xi, tols = _annulus_input(d), (1e-2, 1e-4, 1e-6)
+    for evaluate in (g_profile, induction_diagnostics):
+        counts = set()
+        for tol in tols:
+            calls.clear()
+            evaluate(xi, tol=tol)
+            counts.add(len(calls))
+        assert len(counts) == 1, evaluate.__name__
+    assert len({len(g_profile(xi, tol=tol).values) for tol in tols}) == 3
+
+
 @pytest.mark.parametrize("scale", [2.0**190, 2.0**-190, 2.0**-500],
                          ids=["2^190", "2^-190", "2^-500"])
 def test_window_limit_counts_from_the_window_start(scale):
@@ -336,8 +381,41 @@ def test_lower_tail_is_the_weighted_phase_size_on_criterion_6_inputs(
         for j_lo in {0, len(xi) // 2}:
             weighted = _lipschitz_coeffs(len(xi)) * xi
             weighted[:j_lo] = 0.0
-            for k in range(prof.window.k_min - 3, prof.window.k_max + 1):
+            ks = np.arange(prof.window.k_min - 3, prof.window.k_max + 1)
+            ref = []
+            for k in ks.tolist():
                 b = math.ldexp(rho_xi, k - 1) + dyadic_phase_size(weighted,
                                                                   k - 1)
-                assert (_lower_tail_sq(xi, rho_xi, j_lo, k)
-                        == (4.0 / 3.0) * b ** 2)
+                ref.append((4.0 / 3.0) * b ** 2)
+            # the whole range in one call, bit for bit
+            assert _lower_tail_sq(xi, rho_xi, j_lo, ks).tolist() == ref
+
+
+def _upper_tail_rule(g_decay, rho_xi, k):
+    """The one-scale rule of the upper tail: inf where G 2^{-k-1} overflows
+    or either bound on the next entry exceeds 1."""
+    try:
+        b_osc = math.ldexp(g_decay, -(k + 1))
+    except OverflowError:
+        return math.inf
+    b_poi = 1.0 / math.ldexp(rho_xi, k + 1)
+    if b_osc > 1.0 or b_poi > 1.0:
+        return math.inf
+    return (8.0 / 3.0) * (b_osc * b_osc + b_poi * b_poi)
+
+
+@pytest.mark.parametrize("xi", [[0.9, 0.4], [1e300, 1e-300], [1e-300, 0.0],
+                                [1.7e308], list(_annulus_input(16))],
+                         ids=["d=2", "overflowing", "tiny", "huge", "d=16"])
+def test_upper_tail_over_the_scales_is_the_one_scale_rule(xi):
+    xi = np.asarray(xi)
+    rho_xi = float(rho(xi))
+    g_decay = _decay_prefactor(xi)
+    k_center = int(round(-math.log2(rho_xi)))
+    ks = np.arange(k_center - 30, k_center + multiplier.WINDOW_LIMIT + 1)
+    tails = _upper_tail_sq(g_decay, rho_xi, ks)
+    assert tails.tolist() == [_upper_tail_rule(g_decay, rho_xi, k)
+                              for k in ks.tolist()]
+    # G 2^{-k} overflows at the window start of [1e300, 1e-300]
+    if xi[0] == 1e300:
+        assert tails[30] == math.inf

@@ -107,6 +107,13 @@ def test_quasi_triangle_ratio_below_two(d):
     assert 0.5 < ratio <= 2.0
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_quasi_triangle_ratio_needs_a_trial(trials):
+    # no pairs returned 0.0, a vacuous ratio <= 2
+    with pytest.raises(ValueError, match="at least one trial"):
+        quasi_triangle_ratio(make_space(2), trials=trials)
+
+
 def test_ball_volume_exact_in_1d():
     bv = ball_volume(make_space(1), 1.0, samples=1000)
     assert bv.value == 2.0

@@ -33,6 +33,13 @@ def test_density_rejects_bad_beta():
         stable_density_1d(0.5, 0.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_density_rejects_non_finite_x(x):
+    # the cosine-weighted quadrature returned nan here
+    with pytest.raises(ValueError, match="finite"):
+        stable_density_1d(1.5, x)
+
+
 @pytest.mark.parametrize("beta", [1.0, 1.25, 1.5, 2.0])
 def test_symmetric_sampler_characteristic_function(beta):
     rng = np.random.default_rng(42)
@@ -106,6 +113,22 @@ def test_kernel_draws_reject_non_finite_scale(t):
     # nan and inf passed the t <= 0 guard and gave nan or inf points
     with pytest.raises(ValueError, match="finite"):
         sample_kernel_batch(make_space(2), t, 10, stream(9, 3))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+def test_gram_check_rejects_scales_outside_the_half_line(t):
+    # nan gave a nan eigenvalue, which a running min over sets skips
+    pts = np.random.default_rng(0).standard_normal((5, 2))
+    with pytest.raises(ValueError, match="positive and finite"):
+        gram_psd_check(pts, t=t)
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_subordination_check_rejects_non_finite_x(x):
+    # inf passed with lhs inf against a finite rhs (inf <= inf held), and
+    # nan ended in ZeroDivisionError
+    with pytest.raises(ValueError, match="finite x > 0"):
+        subordination_identity_check(x, 0.5)
 
 
 def test_kernel_marginal_characteristic_function():

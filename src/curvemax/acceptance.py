@@ -74,12 +74,22 @@ def jsonable(x):
     return x
 
 
+def _check_something(**params):
+    """ValueError naming the first parameter that leaves a gate nothing to
+    check: an empty dimension list or a count below 1."""
+    for name, value in params.items():
+        if len(value) == 0 if hasattr(value, "__len__") else value < 1:
+            raise ValueError(f"{name} = {value!r} leaves a gate nothing "
+                             "to check")
+
+
 # -- criterion 1 -------------------------------------------------------------
 
 def norm_axioms(seed: int, dims, trials: int, polar_grid: int,
                 ball_samples: int) -> tuple:
     """Homogeneity and symmetry to 1e-12 relative, quasi-triangle ratio <= 2;
     at d <= 2 the polar reconstruction and the unit-ball volume (4 sigma)."""
+    _check_something(dims=dims)
     tol = 1e-12
     per_d = {}
     passed = True
@@ -115,6 +125,7 @@ def norm_axioms(seed: int, dims, trials: int, polar_grid: int,
 
 def closed_forms(seed: int, n_freq: int, n_pts: int) -> tuple:
     """Quadrature and density inversion against one-dimensional closed forms."""
+    _check_something(n_freq=n_freq, n_pts=n_pts)
     rng = family_stream(seed, "closed-forms", 0)
     xs = np.sign(rng.standard_normal(n_freq)) * 10.0 ** rng.uniform(-2, 1.45, n_freq)
     err_sigma = 0.0
@@ -153,6 +164,8 @@ def kernel_certification(seed: int, gram_dims, gram_sets: int, cf_dims,
                          cf_samples: int, cf_freqs: int,
                          semigroup_samples: int) -> tuple:
     """Gram positivity, empirical characteristic functions, semigroup law."""
+    _check_something(gram_dims=gram_dims, gram_sets=gram_sets,
+                     cf_dims=cf_dims, cf_freqs=cf_freqs)
     min_eig = math.inf
     for d in gram_dims:
         for i in range(gram_sets):
@@ -235,6 +248,7 @@ def oscillatory_corpus(seed: int, dims, count: int,
     """Random polynomial corpus: both decay bounds and the sublevel oracle,
     a brute 400,000-cell midpoint grid on [-1, 1] whose own error, at most
     (sign changes + 2) cells of 5e-6, lies far below its 1e-4 gate."""
+    _check_something(dims=dims, count=count, oracle_count=oracle_count)
     max_vin = max_vdc = max_sublevel_err = 0.0
     ts = -1.0 + (np.arange(400_000) + 0.5) * 2.0 / 400_000
     for d in dims:
@@ -280,6 +294,8 @@ def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
     2 / (pi eta), and e^-eta <= 1 / (e eta), so the ratio is at most
     2/pi + 1/e.  The gate is the larger, 1 + 3 pi/2 ~ 5.712.
     """
+    _check_something(n_oracle=n_oracle, dims=dims, per_dim=per_dim,
+                     n_env=n_env)
     rng = family_stream(seed, "profile-oracle", 0)
 
     max_oracle_err = 0.0
@@ -340,7 +356,12 @@ def log_growth(seed: int, d_list, budget: int, tol: float, ind_dims,
     zero-padded; the profile treats padded vectors identically in any
     ambient dimension, so the sups are monotone along the list by
     construction.  The slope is a least-squares fit against log(d+1).
+    The induction terms are off exactly when ind_dims is empty and per_dim 0.
     """
+    _check_something(d_list=d_list)
+    if per_dim < 0 or bool(len(ind_dims)) != (per_dim > 0):
+        raise ValueError(f"ind_dims = {ind_dims!r} and per_dim = {per_dim!r} "
+                         "must switch the induction terms on or off together")
     rows, prev = [], ()
     for d in d_list:
         pad = [prev + (0.0,) * (d - len(prev))] if 0 < len(prev) < d else []
@@ -443,6 +464,7 @@ def _refinement(check, f_coarse, f_fine):
 def maxop_reductions(seed: int, dims, mc: int,
                      small_grids: bool) -> tuple:
     """Sandwich and split inequalities on grids, with refinement halving."""
+    _check_something(dims=dims)
     cases = [(d,) + c for d in dims for c in maxop_cases(d, small_grids)]
 
     passed = True

@@ -16,9 +16,13 @@ Every entry, in the profile, in both induction terms and in nu_hat, comes
 from _entries: closed form for a linear phase, quadrature while the total
 phase variation is affordable, and otherwise the certified upper bound
 itself, marked envelope-only, so the reported g never silently drops mass
-(it may only overshoot, and g_lower is the l2 of each entry's certified
-floor, set where its source is chosen).  A window's quadrature entries take
-one pass of the panel engine over its dyadic shells
+(it may only overshoot).  Each entry also carries its certified floor, set
+where its source is chosen, and the kernel term exp(-2^k rho) is one array
+expression over the window, exactly 0 where 2^k rho overflows.  One l2
+rule, sqrt(sum(x**2)) over a window's array, forms g, g_lower (from the
+floors) and both induction terms; as each floor is at most its modulus and
+the rule is monotone, g_lower <= g holds by construction.  A window's
+quadrature entries take one pass of the panel engine over its dyadic shells
 (curve_measure.sigma_hat_dyadics).  sup_search estimates sup g in one
 dimension; the growth experiment across dimensions, with its padded starts
 and its fit against log(d+1), is acceptance.log_growth.
@@ -55,15 +59,6 @@ def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
     return z
 
 
-def _poisson_hat(k: int, rho_vec: float) -> float:
-    """exp(-2^k rho), flushed to zero where it underflows."""
-    try:
-        scale = math.ldexp(rho_vec, k)
-    except OverflowError:                   # 2^k rho past the double range
-        return 0.0
-    return math.exp(-scale) if scale < 700.0 else 0.0
-
-
 def _entries(vec, ks, rho_vec: float, quad_tol: float):
     """(values, moduli, floors) of nu_hat(delta_{2^k} vec) for k in ks.
 
@@ -78,7 +73,8 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
     Quadrature takes one sigma_hat_dyadics call over the window's shells.
     """
     ks = np.asarray(ks)
-    p_hat = np.array([_poisson_hat(k, rho_vec) for k in ks.tolist()])
+    with np.errstate(over="ignore"):        # 2^k rho past range: exp(-inf) = 0
+        p_hat = np.exp(-np.ldexp(rho_vec, ks))
     if top_index(vec) <= 1:
         with np.errstate(over="ignore", invalid="ignore"):
             eta = np.ldexp(vec[0], ks)
@@ -91,7 +87,7 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
     values = np.full(len(ks), np.nan, dtype=complex)
     quad = 8.0 * dyadic_phase_size(vec, ks) <= PRACTICAL_PANEL_CAP
     values[quad] = sigma_hat_dyadics(vec, ks[quad], quad_tol) - p_hat[quad]
-    mags = np.array([abs(z) for z in values.tolist()])
+    mags = np.abs(values)
     env = np.isnan(mags)
     mags[env] = np.minimum(2.0, sigma_hat_upper_bound(vec, ks[env])
                            + p_hat[env])
@@ -108,10 +104,9 @@ def _difference_bound(xi, rho_xi: float, j_lo: int, ks):
 
 def _lower_tail_sq(xi, rho_xi: float, j_lo: int, ks):
     """Certified bound 4/3 b(k - 1)^2 for the sum over k' < k of the squared
-    entries that b bounds, for each k in ks.  float_power calls the C
-    library's pow, as Python's b ** 2 does; numpy's ** squares instead."""
+    entries that b bounds, for each k in ks."""
     b = _difference_bound(xi, rho_xi, j_lo, ks - 1)
-    return (4.0 / 3.0) * np.float_power(b, 2.0)
+    return (4.0 / 3.0) * (b * b)
 
 
 def _upper_tail_sq(g_decay: float, rho_xi: float, ks):
@@ -180,21 +175,14 @@ def g_profile(xi, tol: float = 1e-3) -> MultiplierProfile:
 
     ks = range(k_lo, k_hi + 1)
     zs, values, floors, quad_tol = _window_entries(xi, ks, rho_xi, tol)
-    lower_sq = 0.0
-    for floor in floors.tolist():
-        lower_sq += floor ** 2
-
-    g_value = float(np.sqrt(np.sum(values**2)))
     return MultiplierProfile(
         xi=tuple(float(v) for v in xi),
         window=DyadicWindow(k_lo, k_hi),
         values=tuple(float(v) for v in values),
         envelope_only=tuple(k for k, z in zip(ks, zs) if np.isnan(z)),
         tail_bound=math.sqrt(lo_sq + hi_sq),
-        g_value=g_value,
-        # summation order can drift a few ulps; a lower bound must not exceed
-        # the value it certifies
-        g_lower=min(math.sqrt(lower_sq), g_value),
+        g_value=float(np.sqrt(np.sum(values**2))),
+        g_lower=float(np.sqrt(np.sum(floors**2))),
         quad_tol=quad_tol,
     )
 
@@ -247,9 +235,6 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
         k_split + 1, 1, tol, "in the far term")
     far_ks = range(k_split + 1, k_hi + 1)
     zs, mags, _, _ = _window_entries(xi, far_ks, rho_xi, tol)
-    far_sq = 0.0
-    for v in mags.tolist():
-        far_sq += v * v
     envelope = [k for k, z in zip(far_ks, zs) if np.isnan(z)]
 
     # near piece: k <= k_split, difference against the truncated frequency
@@ -264,15 +249,13 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     apart = np.isnan(zx) | np.isnan(zy)
     b = _difference_bound(xi, rho_xi - rho_y, half, near_ks)
     ws = np.where(apart, np.minimum(np.minimum(4.0, vx + vy), b),
-                  [abs(z) for z in (zx - zy).tolist()])
-    near_sq = 0.0
-    for w in ws.tolist():
-        near_sq += w * w
+                  np.abs(zx - zy))
     envelope += near_ks[apart].tolist()
 
     return InductionDiagnostics(
         xi=tuple(xi), y=tuple(y), j_pivot=j_pivot, threshold=threshold,
-        term_far=math.sqrt(far_sq), term_near=math.sqrt(near_sq),
+        term_far=float(np.sqrt(np.sum(mags**2))),
+        term_near=float(np.sqrt(np.sum(ws**2))),
         term_far_tail=math.sqrt(far_tail_sq),
         term_near_tail=math.sqrt(near_tail_sq),
         envelope_ks=tuple(envelope),

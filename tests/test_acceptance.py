@@ -57,3 +57,38 @@ def test_sublevel_oracle_row_catches_a_shrunk_measure(monkeypatch):
     row = res.details["sublevel_vs_root_oracle_max_err"]
     assert row["value"] > row["tol"]
     assert not res.passed
+
+
+EMPTY_GATES = [
+    ("norm-axioms", {"dims": ()}, "dims"),
+    ("closed-form-oracles", {"n_freq": 0}, "n_freq"),
+    ("closed-form-oracles", {"n_pts": 0}, "n_pts"),
+    ("oscillatory-bounds", {"count": 0}, "count"),
+    ("oscillatory-bounds", {"dims": ()}, "dims"),
+    ("oscillatory-bounds", {"oracle_count": 0}, "oracle_count"),
+    ("maxop-reductions", {"dims": ()}, "dims"),
+    ("kernel-certification", {"gram_dims": (), "cf_dims": ()}, "gram_dims"),
+    ("kernel-certification", {"cf_dims": ()}, "cf_dims"),
+    ("kernel-certification", {"gram_sets": 0}, "gram_sets"),
+    ("kernel-certification", {"cf_freqs": 0}, "cf_freqs"),
+    ("multiplier-profile", {"n_oracle": 0, "dims": (), "n_env": 0},
+     "n_oracle"),
+    ("multiplier-profile", {"dims": ()}, "dims"),
+    ("multiplier-profile", {"per_dim": 0}, "per_dim"),
+    ("multiplier-profile", {"n_env": 0}, "n_env"),
+    ("log-growth", {"d_list": ()}, "d_list"),
+    ("log-growth", {"ind_dims": ()}, "ind_dims"),
+    ("log-growth", {"per_dim": 0}, "per_dim"),
+    ("log-growth", {"ind_dims": (), "per_dim": -1}, "per_dim"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, overrides, param", EMPTY_GATES,
+    ids=[name + ":" + ",".join(f"{k}={v}" for k, v in overrides.items())
+         for name, overrides, _ in EMPTY_GATES])
+def test_gate_that_would_check_nothing_is_rejected(name, overrides, param):
+    # each of these passed with nothing checked (an empty d_list ended in
+    # IndexError, and no Gram set left gram_min_eigenvalue at inf)
+    with pytest.raises(ValueError, match=rf"\b{param} = "):
+        acceptance.run(name, seed=0, quick=True, **overrides)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from curvemax import cli
+from curvemax.acceptance import CriterionResult
 
 
 def run_cli(capsys, *args):
@@ -94,16 +95,37 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
      "at least one entry"),
     (("osc-corpus", "--config", {"d_list": [], "quick": True}),
      "at least one entry"),
+    (("kernel-verify", "--samples", "999", "--quick"), "samples must be"),
+    (("multiplier-sup", "--budget", "3", "--quick"), "budget must be"),
+    (("osc-corpus", "--count", "0", "--quick"), "count must be"),
+    (("maxop-check", "--d", "3", "--quick"), "supports --d 1 or 2"),
+    (("sigma-hat", "--xi", "0,0"), "must be nonzero"),
+    (("sigma-hat", "--xi", "0.5", "--k-lo", "2", "--k-hi", "1"),
+     "k range [2, 1] is empty"),
+    (("norm-eval", "--d", "3", "--point", "1,2", "--quick"),
+     "--d 3 disagrees with --point length 2"),
+    # None stands for a config path where no file is, bytes for raw contents
+    (("norm-eval", "--quick", "--config", None), "[Errno 2]"),
+    (("norm-eval", "--quick", "--config", b'{"seed": 1'), "config file"),
+    (("norm-eval", "--quick", "--config", [1, 2]),
+     "config root must be a JSON object"),
 ])
-def test_config_errors_exit_2(capsys, tmp_path, args, fragment):
+def test_config_errors_exit_2(capsys, tmp_path, monkeypatch, args, fragment):
+    def no_criterion(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(cli, "run", no_criterion)
+    monkeypatch.setattr(cli, "run_all", no_criterion)
     args = list(args)
     for i, arg in enumerate(args):
-        if isinstance(arg, dict):
+        if not isinstance(arg, str):
             cfg = tmp_path / "run.json"
-            cfg.write_text(json.dumps(arg))
+            if arg is not None:
+                cfg.write_bytes(arg if isinstance(arg, bytes)
+                                else json.dumps(arg).encode())
             args[i] = str(cfg)
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
     assert "config error" in err
     assert fragment in err
 
@@ -128,6 +150,33 @@ def test_failures_exit_1(capsys, monkeypatch):
     assert doc["passed"] is False
     assert doc["failures"] == ["stub check failed"]
     assert "FAIL" in err
+
+
+def test_kernel_verify_runs_criteria_2_to_4(capsys):
+    code, out, err = run_cli(capsys, "kernel-verify", "--quick", "--d", "1",
+                             "--samples", "1000")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["criterion"] for r in doc["rows"]] == [2, 3, 4]
+    assert all(r["passed"] for r in doc["rows"])
+    assert doc["meta"] == {"d": 1, "samples": 1000}
+    assert "kernel-verify: PASS" in err
+
+
+def test_accept_reports_each_criterion_by_name(capsys, monkeypatch):
+    results = [CriterionResult(1, "first", True, {"x": 1.0}, 0.0),
+               CriterionResult(2, "second", False, {"x": 2.0}, 0.0)]
+    monkeypatch.setattr(cli, "run_all",
+                        lambda seed, quick: results if quick else None)
+    code, out, err = run_cli(capsys, "accept", "--quick")
+    assert code == 1
+    doc = json.loads(out)
+    assert [(r["criterion"], r["name"], r["passed"]) for r in doc["rows"]] \
+        == [(1, "first", True), (2, "second", False)]
+    assert doc["meta"] == {"quick": True}
+    assert doc["failures"] == ["criterion 2 (second) failed; see its "
+                               "details row"]
+    assert "accept: FAIL" in err
 
 
 def test_csv_output_shape(capsys):

@@ -11,7 +11,7 @@ from curvemax.curve_measure import (dyadic_phase_size, sigma_hat_dyadics,
                                    _lipschitz_size)
 from curvemax.multiplier import (g_profile, induction_diagnostics, nu_hat,
                                  sup_search, _entries, _lower_tail_sq,
-                                 _poisson_hat, _upper_tail_sq)
+                                 _upper_tail_sq)
 from curvemax.norms import dilate, rho
 from curvemax.oscillatory import QuadratureError
 
@@ -59,10 +59,27 @@ def test_general_entry_past_the_double_range_is_beyond_quadrature(k):
         nu_hat((1.0, 1.0), k)
 
 
-def test_poisson_entry_vanishes_where_its_scale_overflows():
-    assert _poisson_hat(1023, 1.0) == _poisson_hat(1024, 1.0) == 0.0
-    assert _poisson_hat(5000, 1e-300) == 0.0
-    assert _poisson_hat(0, 1.0) == math.exp(-1.0)
+def _kernel_hat(ks, rho_xi):
+    """exp(-2^k rho_xi) over the scales ks, 0 where 2^k rho_xi overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.ldexp(rho_xi, np.asarray(ks)))
+
+
+def test_poisson_entry_vanishes_where_its_scale_overflows(monkeypatch):
+    # with the shell transform set to 0, an entry is minus the kernel term
+    # that _entries subtracts
+    monkeypatch.setattr(multiplier, "PRACTICAL_PANEL_CAP", math.inf)
+    monkeypatch.setattr(multiplier, "sigma_hat_dyadics",
+                        lambda vec, ks, tol: np.zeros(len(ks)))
+
+    def kernel(ks, rho_xi):
+        values = _entries(np.array([1.0, 1.0]), np.array(ks), rho_xi, 1e-3)[0]
+        assert values.tolist() == (-_kernel_hat(ks, rho_xi)).tolist()
+        return (-values.real).tolist()
+
+    assert kernel([1023, 1024], 1.0) == [0.0, 0.0]
+    assert kernel([5000], 1e-300) == [0.0]
+    assert kernel([0], 1.0) == [math.exp(-1.0)]
 
 
 @pytest.mark.parametrize("x", [0.03, 0.4, 1.0, 5.7, 40.0])
@@ -87,6 +104,16 @@ def test_lower_bound_never_exceeds_value():
         prof = g_profile(xi, tol=1e-3)
         assert prof.g_lower <= prof.g_value
         assert prof.tail_bound >= 0.0
+    # each floor is at most its modulus and both sums take the same order,
+    # so the floors' l2 cannot pass g, with envelope floors of 0 or with
+    # every floor equal to its modulus (a linear phase)
+    for seed in range(3):
+        for d in (8, 16):
+            prof = g_profile(_annulus_input(d, seed), tol=1e-3)
+            assert prof.envelope_only
+            assert prof.g_lower <= prof.g_value
+    linear = g_profile(np.array([0.7, 0.0, 0.0]), tol=1e-3)
+    assert linear.g_lower == linear.g_value
 
 
 # nonzero coordinates in [-8, 8], kept off zero so the windows stay short
@@ -167,6 +194,18 @@ def test_induction_diagnostics_structure():
     assert np.isfinite(diag.term_near) and diag.term_near >= 0.0
 
 
+@pytest.mark.parametrize("xi", [[1e200, 1.0], [1e300, 1e-300],
+                                [1e300, 1e150, 1e-300, 1e-300]])
+def test_induction_terms_at_extreme_magnitudes(xi):
+    # Python's complex abs of a nan entry read a stale errno, left at ERANGE
+    # by an underflowing ldexp in the quadrature, and raised OverflowError
+    diag = induction_diagnostics(np.array(xi), tol=2e-3)
+    assert diag.envelope_ks
+    terms = (diag.term_far, diag.term_near, diag.term_far_tail,
+             diag.term_near_tail)
+    assert all(math.isfinite(t) and t >= 0.0 for t in terms)
+
+
 def test_induction_terms_bounded_on_sample():
     rng = np.random.default_rng(21)
     for d in (2, 4):
@@ -187,8 +226,8 @@ def test_near_term_envelope_fallback_bounds_the_difference():
     diag = induction_diagnostics(xi, tol=2e-3)
     near = np.arange(13, 20)
     assert set(near.tolist()) <= set(diag.envelope_ks)
-    diff = [(sigma_hat_dyadics(v, near, 1e-6)
-             - [_poisson_hat(int(k), rho(v)) for k in near]) for v in (xi, y)]
+    diff = [sigma_hat_dyadics(v, near, 1e-6) - _kernel_hat(near, rho(v))
+            for v in (xi, y)]
     assert diag.term_near >= math.sqrt(np.sum(np.abs(diff[0] - diff[1]) ** 2))
 
 
@@ -217,8 +256,7 @@ def test_entry_floors_are_certified_lower_bounds(d):
     env = np.isin(ks, prof.envelope_only)
     assert env.any() and floors[env].tolist() == [0.0] * np.sum(env)
     quad = ks[~env]
-    ref = np.abs(sigma_hat_dyadics(xi, quad, 1e-9)
-                 - [_poisson_hat(k, rho(xi)) for k in quad.tolist()])
+    ref = np.abs(sigma_hat_dyadics(xi, quad, 1e-9) - _kernel_hat(quad, rho(xi)))
     assert not np.isnan(ref).any() and np.all(floors[~env] <= ref + 1e-9)
     assert prof.g_lower == pytest.approx(math.sqrt(np.sum(floors**2)),
                                          rel=1e-12)
@@ -230,9 +268,9 @@ def test_entry_floors_of_a_linear_phase_are_the_moduli():
     xi = np.array([0.7, 0.0, 0.0])
     ks = np.arange(-60, 60)
     values, mags, floors = _entries(xi, ks, rho(xi), 1e-4)
-    ref = [2.0 * np.sinc(2.0 * math.ldexp(0.7, k)) - np.sinc(math.ldexp(0.7, k))
-           - _poisson_hat(k, rho(xi)) for k in ks.tolist()]
-    assert values.tolist() == ref
+    eta = np.array([math.ldexp(0.7, k) for k in ks.tolist()])
+    ref = 2.0 * np.sinc(2.0 * eta) - np.sinc(eta) - _kernel_hat(ks, rho(xi))
+    assert values.tolist() == ref.tolist()
     assert floors.tolist() == mags.tolist() == np.abs(ref).tolist()
 
 
@@ -325,7 +363,7 @@ def test_profile_entries_are_nu_hat(xi):
             with pytest.raises(QuadratureError):
                 nu_hat(xi, k, tol=prof.quad_tol)
         else:
-            assert val == abs(nu_hat(xi, k, tol=prof.quad_tol))
+            assert val == np.abs(nu_hat(xi, k, tol=prof.quad_tol))
 
 
 def _entry_by_quadpack(xi, k):
@@ -386,7 +424,7 @@ def test_lower_tail_is_the_weighted_phase_size_on_criterion_6_inputs(
             for k in ks.tolist():
                 b = math.ldexp(rho_xi, k - 1) + dyadic_phase_size(weighted,
                                                                   k - 1)
-                ref.append((4.0 / 3.0) * b ** 2)
+                ref.append((4.0 / 3.0) * (b * b))
             # the whole range in one call, bit for bit
             assert _lower_tail_sq(xi, rho_xi, j_lo, ks).tolist() == ref
 

@@ -122,7 +122,7 @@ def test_ball_volume_exact_in_1d():
 
 @pytest.mark.parametrize("r, exact", [(1.0, 4.0 / 3.0), (2.0, 32.0 / 3.0)])
 def test_ball_volume_2d(r, exact):
-    # volume of {max(|x|, sqrt|y|) <= r} is (4/3) r^3
+    # volume of {|x| + sqrt|y| <= r} is (4/3) r^3
     bv = ball_volume(make_space(2), r, samples=200_000)
     assert abs(bv.value - exact) <= 4.0 * bv.stderr + 1e-12
 

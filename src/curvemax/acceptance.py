@@ -74,11 +74,12 @@ def jsonable(x):
     return x
 
 
-def _check_something(**params):
+def _check_something(least: int = 1, /, **params):
     """ValueError naming the first parameter that leaves a gate nothing to
-    check: an empty dimension list or a count below 1."""
+    check: an empty dimension list or a count below `least` (2 where the
+    gate needs a standard error or a half-resolution grid)."""
     for name, value in params.items():
-        if len(value) == 0 if hasattr(value, "__len__") else value < 1:
+        if len(value) == 0 if hasattr(value, "__len__") else value < least:
             raise ValueError(f"{name} = {value!r} leaves a gate nothing "
                              "to check")
 
@@ -88,8 +89,14 @@ def _check_something(**params):
 def norm_axioms(seed: int, dims, trials: int, polar_grid: int,
                 ball_samples: int) -> tuple:
     """Homogeneity and symmetry to 1e-12 relative, quasi-triangle ratio <= 2;
-    at d <= 2 the polar reconstruction and the unit-ball volume (4 sigma)."""
-    _check_something(dims=dims)
+    at d <= 2 the polar identity and the unit-ball volume (4 sigma).
+
+    The polar gate compares the midpoint integral of exp(-rho) over
+    {rho <= R} with alpha |B_1| int_0^R r^{alpha-1} exp(-r) dr, |B_1|
+    counted on the same grid over [-1, 1]^d (R = POLAR_BOX_RADIUS), to 5e-2
+    plus twice the drift from halving the grid."""
+    _check_something(dims=dims, trials=trials)
+    _check_something(2, polar_grid=polar_grid)
     tol = 1e-12
     per_d = {}
     passed = True
@@ -106,7 +113,7 @@ def norm_axioms(seed: int, dims, trials: int, polar_grid: int,
                     "rel_tol": tol, "quasi_ratio": quasi, "quasi_limit": 2.0}
         if d <= 2:
             space = make_space(d)
-            pol = polar_integration_check(space, lambda p: np.exp(-rho(p)),
+            pol = polar_integration_check(space, lambda r: np.exp(-r),
                                           tol=5e-2, grid_n=polar_grid)
             bv = ball_volume(space, 1.0, samples=ball_samples, seed=seed)
             exact = 2.0 if d == 1 else 4.0 / 3.0
@@ -166,6 +173,8 @@ def kernel_certification(seed: int, gram_dims, gram_sets: int, cf_dims,
     """Gram positivity, empirical characteristic functions, semigroup law."""
     _check_something(gram_dims=gram_dims, gram_sets=gram_sets,
                      cf_dims=cf_dims, cf_freqs=cf_freqs)
+    _check_something(2, cf_samples=cf_samples,
+                     semigroup_samples=semigroup_samples)
     min_eig = math.inf
     for d in gram_dims:
         for i in range(gram_sets):

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .oscillatory import _require_tol
 from .rng import STREAMS, stream
 
 MAX_DIMENSION = 64
@@ -183,88 +184,42 @@ class PolarCheck:
     disc_error: float
 
 
-def _direction_weights_1d():
-    # At d = 1 the unit sphere is {+1, -1}, each carrying unit surface weight.
-    dirs = np.array([[1.0], [-1.0]])
-    return dirs, np.array([1.0, 1.0])
-
-
-def _direction_weights_2d(grid_n: int):
-    """Estimate surface weights by binning unit-ball mass over directions.
-
-    A Cartesian grid on the bounding box of {rho <= 1} is polar-decomposed;
-    each cell's volume lands in the bin of its direction parameter
-    (u = first coordinate of the direction, plus the sign of the second).
-    Scaling by alpha = 3 turns cone mass into surface measure.
-    """
-    n_bins = 256
-    xs = (np.arange(grid_n) + 0.5) / grid_n * 2.0 - 1.0
-    h = 2.0 / grid_n
-    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-    radii = rho(pts)
-    inside = (radii <= 1.0) & (radii > 0.0)
-    pts = pts[inside]
-    radii = radii[inside]
-    dirs = dilate(pts, 1.0 / radii)
-    u = np.clip(dirs[:, 0], -1.0, 1.0)
-    sign_bit = (dirs[:, 1] < 0.0).astype(int)
-    bin_u = np.minimum(((u + 1.0) / 2.0 * n_bins).astype(int), n_bins - 1)
-    flat = sign_bit * n_bins + bin_u
-    mass = np.bincount(flat, minlength=2 * n_bins) * h * h
-    alpha = 3.0
-    weights = alpha * mass
-    centers_u = (np.arange(n_bins) + 0.5) / n_bins * 2.0 - 1.0
-    reps = []
-    for s in (1.0, -1.0):
-        second = s * (1.0 - np.abs(centers_u)) ** 2  # exact point on the unit sphere
-        reps.append(np.stack([centers_u, second], axis=-1))
-    return np.concatenate(reps, axis=0), weights
+def _midpoint_radii(d: int, radius: float, n: int):
+    """rho at the midpoints of an n^d-cell grid on the box prod_j
+    [-radius^j, radius^j] (d <= 2), and the volume of one cell."""
+    u = (np.arange(n) + 0.5) / n
+    axes = (u * 2.0 * radius - radius, (u * 2.0 - 1.0) * radius**2)[:d]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return rho(pts), math.prod(2.0 * radius**j / n for j in range(1, d + 1))
 
 
 def polar_integration_check(space: ParabolicSpace,
-                            test_function: Callable[[np.ndarray], np.ndarray],
+                            profile: Callable[[np.ndarray], np.ndarray],
                             tol: float, grid_n: int = 1024) -> PolarCheck:
-    """Compare a Cartesian integral with its polar reconstruction (d <= 2).
+    """Compare the integral of f = profile(rho) with its polar form (d <= 2).
 
     Left side: midpoint quadrature of f over {rho <= R} inside the box
-    [-R, R] x [-R^2, R^2].  Right side: int_0^R r^{alpha-1} (surface sum) dr
-    with surface weights recovered from unit-ball binning.  Both sides are
+    prod_j [-R^j, R^j].  Right side: alpha |B_1| int_0^R r^{alpha-1}
+    profile(r) dr, the polar formula for a radial f, with |B_1| the midpoint
+    count of {0 < rho <= 1} on the same grid over [-1, 1]^d.  Both sides are
     recomputed at half resolution and the drift is reported as disc_error.
     """
     if space.d > 2:
         raise ValueError("polar_integration_check supports d <= 2")
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    _require_tol(tol)
     box_radius = POLAR_BOX_RADIUS
 
     def both_sides(n_grid, n_rad):
-        # Cartesian side
-        xs = (np.arange(n_grid) + 0.5) / n_grid * 2.0 * box_radius - box_radius
-        if space.d == 1:
-            pts = xs[:, None]
-            cell = 2.0 * box_radius / n_grid
-        else:
-            ys = ((np.arange(n_grid) + 0.5) / n_grid * 2.0 - 1.0) * box_radius**2
-            x1, x2 = np.meshgrid(xs, ys, indexing="ij")
-            pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
-            cell = (2.0 * box_radius / n_grid) * (2.0 * box_radius**2 / n_grid)
-        radii = rho(pts)
-        keep = radii <= box_radius
-        lhs = float(np.sum(test_function(pts[keep])) * cell)
-
-        # Polar side
-        if space.d == 1:
-            dirs, weights = _direction_weights_1d()
-        else:
-            dirs, weights = _direction_weights_2d(n_grid)
+        radii, cell = _midpoint_radii(space.d, box_radius, n_grid)
+        lhs = float(np.sum(profile(radii[radii <= box_radius])) * cell)
+        radii, cell = _midpoint_radii(space.d, 1.0, n_grid)
+        ball = np.count_nonzero((radii > 0.0) & (radii <= 1.0)) * cell
         r_mid = (np.arange(n_rad) + 0.5) / n_rad * box_radius
         dr = box_radius / n_rad
-        shell = np.zeros(n_rad)
-        for v, w in zip(dirs, weights):
-            if w == 0.0:
-                continue
-            shell += w * test_function(dilate(np.broadcast_to(v, (n_rad, space.d)),
-                                              r_mid))
-        rhs = float(np.sum(shell * r_mid ** (space.alpha - 1) * dr))
+        rhs = float(space.alpha * ball
+                    * np.sum(profile(r_mid) * r_mid ** (space.alpha - 1) * dr))
         return lhs, rhs
 
     lhs, rhs = both_sides(grid_n, POLAR_RADIAL_BINS)

@@ -61,6 +61,9 @@ def test_sublevel_oracle_row_catches_a_shrunk_measure(monkeypatch):
 
 EMPTY_GATES = [
     ("norm-axioms", {"dims": ()}, "dims"),
+    ("norm-axioms", {"trials": 0}, "trials"),
+    ("norm-axioms", {"polar_grid": 0}, "polar_grid"),
+    ("norm-axioms", {"polar_grid": 1}, "polar_grid"),
     ("closed-form-oracles", {"n_freq": 0}, "n_freq"),
     ("closed-form-oracles", {"n_pts": 0}, "n_pts"),
     ("oscillatory-bounds", {"count": 0}, "count"),
@@ -71,6 +74,10 @@ EMPTY_GATES = [
     ("kernel-certification", {"cf_dims": ()}, "cf_dims"),
     ("kernel-certification", {"gram_sets": 0}, "gram_sets"),
     ("kernel-certification", {"cf_freqs": 0}, "cf_freqs"),
+    ("kernel-certification", {"cf_samples": 0}, "cf_samples"),
+    ("kernel-certification", {"cf_samples": 1}, "cf_samples"),
+    ("kernel-certification", {"semigroup_samples": 0}, "semigroup_samples"),
+    ("kernel-certification", {"semigroup_samples": 1}, "semigroup_samples"),
     ("multiplier-profile", {"n_oracle": 0, "dims": (), "n_env": 0},
      "n_oracle"),
     ("multiplier-profile", {"dims": ()}, "dims"),
@@ -89,6 +96,8 @@ EMPTY_GATES = [
          for name, overrides, _ in EMPTY_GATES])
 def test_gate_that_would_check_nothing_is_rejected(name, overrides, param):
     # each of these passed with nothing checked (an empty d_list ended in
-    # IndexError, and no Gram set left gram_min_eigenvalue at inf)
+    # IndexError, and no Gram set left gram_min_eigenvalue at inf) or ended in
+    # an error that did not name it (polar_grid = 1 divided by zero, one
+    # semigroup draw reported a zero standard error)
     with pytest.raises(ValueError, match=rf"\b{param} = "):
         acceptance.run(name, seed=0, quick=True, **overrides)

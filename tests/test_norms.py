@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from curvemax.norms import (MAX_DIMENSION, ball_volume, dilate, make_space,
-                            polar_integration_check, quasi_triangle_ratio, rho)
+from curvemax.norms import (MAX_DIMENSION, ParabolicSpace, ball_volume, dilate,
+                            make_space, polar_integration_check,
+                            quasi_triangle_ratio, rho)
 from curvemax.rng import stream
 
 
@@ -138,7 +139,7 @@ def test_ball_volume_scaling_follows_alpha():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_polar_integration_identity(d):
-    check = polar_integration_check(make_space(d), lambda pts: np.exp(-rho(pts)),
+    check = polar_integration_check(make_space(d), lambda r: np.exp(-r),
                                     tol=0.08)
     assert check.passed
     assert check.lhs == pytest.approx(check.rhs, abs=0.08)
@@ -146,8 +147,34 @@ def test_polar_integration_identity(d):
 
 def test_polar_integration_rejects_high_dimension():
     with pytest.raises(ValueError):
-        polar_integration_check(make_space(3), lambda pts: np.exp(-rho(pts)),
+        polar_integration_check(make_space(3), lambda r: np.exp(-r),
                                 tol=0.1)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("d", [1, 2])
+def test_polar_identity_fails_at_a_wrong_alpha(d, shift):
+    # the Cartesian side does not read alpha, so only the identity can fail
+    space = make_space(d)
+    wrong = ParabolicSpace(space.d, space.n, space.alpha + shift)
+    check = polar_integration_check(wrong, lambda r: np.exp(-r), tol=0.08)
+    assert not check.passed
+    assert abs(check.lhs - check.rhs) > 1.0
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    ({"tol": 0.1, "grid_n": 1}, "grid_n must be at least 2, got 1"),
+    ({"tol": 0.1, "grid_n": 0}, "grid_n must be at least 2, got 0"),
+    ({"tol": math.inf}, "got inf"),
+    ({"tol": math.nan}, "got nan"),
+    ({"tol": 0.0}, "got 0.0"),
+    ({"tol": -0.1}, "got -0.1"),
+])
+def test_polar_integration_rejects_a_check_that_cannot_fail(kwargs, text):
+    # tol = inf passed whatever the two sides were, and grid_n = 1 left the
+    # half-resolution grid empty
+    with pytest.raises(ValueError, match=text):
+        polar_integration_check(make_space(2), lambda r: np.exp(-r), **kwargs)
 
 
 def test_batch_shapes():

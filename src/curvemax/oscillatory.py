@@ -81,8 +81,21 @@ class PhasePoly:
         return np.array((self.constant,) + self.coeffs, dtype=float)
 
     def __call__(self, t):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
-                                                self.full_coeffs())
+        # a scalar for a scalar argument, as numpy's polyval gives
+        return _horner(self.full_coeffs(), np.asarray(t, dtype=float))[()]
+
+
+def _horner(c, t):
+    """c[0] + c[1] t + ... + c[-1] t^n by Horner's rule, in place.
+
+    The products and sums are numpy polyval's, in the same order, so the
+    bits are the same; the c[j] may be arrays that broadcast against t,
+    which evaluates several polynomials in one pass."""
+    out = np.full(np.broadcast(c[-1], t).shape, c[-1])
+    for cj in c[-2::-1]:
+        out *= t
+        out += cj
+    return out
 
 
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -142,7 +155,7 @@ def _rounding_floor(p: PhasePoly, lo: np.ndarray, hi: np.ndarray):
     on panels too short to hold any quadrature error stay below half of it.
     """
     r = np.maximum(np.abs(lo), np.abs(hi))
-    size = np.polynomial.polynomial.polyval(r, np.abs(p.full_coeffs()))
+    size = _horner(np.abs(p.full_coeffs()), r)
     return _ROUNDING * (hi - lo) * (1.0 + size)
 
 

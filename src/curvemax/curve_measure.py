@@ -85,10 +85,14 @@ def mu_hat(xi, tol: float = 1e-10) -> complex:
     return 0.5 * osc_integral(p, -1.0, 1.0, tol=tol)
 
 
+@lru_cache(maxsize=None)
 def _lipschitz_coeffs(d: int) -> np.ndarray:
-    """L_j with |sigma_hat(eta) - 1| <= sum_j L_j |eta_j|: exact moment factors."""
+    """L_j with |sigma_hat(eta) - 1| <= sum_j L_j |eta_j|: exact moment
+    factors, built once per d and read-only."""
     js = np.arange(1, d + 1, dtype=float)
-    return 4.0 * math.pi * (1.0 - 2.0 ** -(js + 1.0)) / (js + 1.0)
+    out = 4.0 * math.pi * (1.0 - 2.0 ** -(js + 1.0)) / (js + 1.0)
+    out.flags.writeable = False
+    return out
 
 
 def _normal_frequency(xi) -> np.ndarray:
@@ -108,14 +112,20 @@ def _normal_frequency(xi) -> np.ndarray:
     return xi
 
 
+def _dyadic_logs(xi, ks) -> np.ndarray:
+    """log |xi_j| + k j log 2 for each k in ks (rows) and each nonzero xi_j
+    (columns): the logs of the terms of dyadic_phase_size."""
+    xi = np.asarray(xi, dtype=float)
+    nz = np.nonzero(xi)[0]
+    return (np.log(np.abs(xi[nz]))
+            + np.multiply.outer(np.asarray(ks, dtype=float), nz + 1.0) * _LN2)
+
+
 def dyadic_phase_size(xi, ks):
     """sum_j |xi_j| 2^{kj} for each k in ks (a float for one k), an upper
     proxy for total phase variation / 4 pi; inf where a term overflows.
     Callers use it to decide whether quadrature at scale k is affordable."""
-    xi = np.asarray(xi, dtype=float)
-    nz = np.nonzero(xi)[0]
-    logs = (np.log(np.abs(xi[nz]))
-            + np.multiply.outer(np.asarray(ks, dtype=float), nz + 1.0) * _LN2)
+    logs = _dyadic_logs(xi, ks)
     # exp of the clipped logs, so that no overflow warns; no term sums to 0
     out = np.where(np.max(logs, axis=-1, initial=-math.inf) > 700.0, math.inf,
                    np.sum(np.exp(np.minimum(logs, 700.0)), axis=-1))
@@ -163,8 +173,9 @@ def sigma_hat_dyadics(xi, ks, tol: float = 1e-10) -> np.ndarray:
 
     m = ks - k0
     log2_tol = m + math.log2(tol)           # of the shell's tolerance
-    reach = (~settled & np.isfinite(dyadic_phase_size(xi, ks))
-             & (m >= -1021) & (m <= 1023)
+    # dyadic_phase_size is finite where no log of its terms passes 700
+    top_log = np.max(_dyadic_logs(xi, ks), axis=-1, initial=-math.inf)
+    reach = (~settled & (top_log <= 700.0) & (m >= -1021) & (m <= 1023)
              & (log2_tol >= -1022.0) & (log2_tol <= 1023.0))
     m = m[reach].astype(int)
     outer = np.ldexp(1.0, m)

@@ -1,24 +1,81 @@
 """Oscillatory integrals of polynomial phases and sublevel estimates.
 
-One panel engine, osc_integrals, integrates exp(i p) for one phase p over
-many intervals, each in a group with its own tolerance.  It cuts the
-intervals at the real roots of p' and p'', bisects the pieces to at most
-SPAN = 4 pi of monotone phase, and applies the Gauss-Kronrod 7/15 pair
-(Kronrod 1965; QUADPACK's qk15, Piessens et al. 1983) from 15 exponentials
-per panel, with |K15 - G7| as the panel's error.  Only groups whose summed
-error exceeds their tolerance refine, halving their worst panels, so panel
-sizes follow the error estimate.  A group whose tolerance is below the
-rounding floor of its panels fails at once, and PANEL_CAP and a pass limit
-bound the rest, so a runaway request becomes an explicit failure:
-osc_integral, the one-interval case, raises QuadratureError.  No Filon-type
-machinery is needed at desk scale; cost grows linearly with the total phase
-variation.  sublevel_measure cuts [a, b] at the roots of p -/+ delta.
+One engine, osc_integrals, integrates exp(i p) for one phase p over many
+intervals, each in a group with its own tolerance.  It cuts the intervals
+at the real roots of p' and p'' and bisects the pieces to at most SPAN =
+4 pi of monotone phase.  On the way, a piece cut from one that spans more
+than _EXPAND = 128 SPAN is first offered to integration by parts (below),
+which takes it out if it certifies itself.  The remaining panels get the
+Gauss-Kronrod 7/15 pair (Kronrod 1965; QUADPACK's qk15, Piessens et al.
+1983) from 15 exponentials per panel, with |K15 - G7| as the panel's error.
+Only groups whose summed error, panels plus expansion pieces, exceeds their
+tolerance refine, halving their worst panels, so panel sizes follow the
+error estimate.  A group whose tolerance is below the rounding floor of its
+panels fails at once, and PANEL_CAP and a pass limit bound the rest, so a
+runaway request becomes an explicit failure: osc_integral, the one-interval
+case, raises QuadratureError.  sublevel_measure cuts [a, b] at the roots of
+p -/+ delta.
+
+Integration by parts (the asymptotic method: Iserles & Norsett, Proc. R.
+Soc. A 461, 2005; Stein, Harmonic Analysis, 1993, ch. VIII).  Where p' has
+no root on [a, b], f_0 = 1 and f_(m+1) = -(f_m / (i p'))' give
+    int_a^b f_m e^{ip} = [f_m e^{ip} / (i p')]_a^b + int_a^b f_(m+1) e^{ip},
+so int_a^b e^{ip} = sum_{m<n} [f_m e^{ip} / (i p')]_a^b + R_n with
+R_n = int_a^b f_n e^{ip}.  By induction f_m = N_m / (i^m p'^{2m}) with
+    N_0 = 1,  N_(m+1) = (2m + 1) N_m p'' - N_m' p',
+since -(N_m / (i^(m+1) p'^(2m+1)))' = ((2m + 1) N_m p'' - N_m' p') /
+(i^(m+1) p'^(2m+2)).  With lambda <= |p'| on [a, b],
+    |R_n| <= int_a^b |N_n| / |p'|^{2n} <= (b - a) max|N_n| / lambda^{2n}.
+
+The certificate is elementwise, piece by piece.  For t in [a, b] and r =
+max(|a|, |b|), |q(t)| <= sum_j |q_j| r^j for any polynomial q.  So, with c
+the centre and h = max(c - a, b - c), the mean value theorem gives
+    lambda = |p'(c)| - gamma sum_j |p'_j| |c|^j - h sum_j |p''_j| r^j,
+where the middle term bounds the rounding of p'(c): a Horner evaluation of
+degree d errs by at most gamma_{2d} = 2d u / (1 - 2d u) times sum_j |q_j|
+|t|^j (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 5.1).
+A root of p' in the piece makes lambda <= 0, so the roots from _real_roots
+only propose cuts: a missed root makes a piece fail, never pass.  Further
+max|N_n| <= sum_j |N_(n,j)| r^j, with the computed coefficients widened by
+alpha_n M_n: M_n is the majorant of N_n (the recursion on |p'| and |p''|
+with the minus made a plus), and alpha_n the rounding the recursion
+accumulates against it, gamma_{d+5} per step.
+
+Rounding of the end terms.  Q_n = sum_{m<n} M_m(r) / lambda^{2m+1} bounds
+the sum S of the f_m / (i p') at either end.  To first order, the computed
+e^{ip} S errs against it by at most Q_n rel, where
+    rel = gamma P(r) + beta + 4 (2n - 1)(eps_1 + 2u) + (2n + 8) u:
+P(r) = sum_j |b_j| r^j bounds the rounding of the phase, which moves e^{ip}
+by as much; beta that of an N_m(t) against M_m(r); eps_1 = gamma
+sum_j |p'_j| r^j / lambda the relative error of p'(t), raised with the
+reciprocal to powers up to 2n - 1; and (2n + 8) u the exponential, the
+products, the sums and the difference of the ends.  For rel <= 1/2 the
+higher-order terms are at most the first-order ones, so both ends together
+err by at most 4 Q_n rel; past that the piece is not certified.
+
+Acceptance.  A piece's error bound is the remainder bound plus 4 Q_n rel,
+times _UP = 1 + 2^-30, which covers the rounding of the bounds themselves
+(sums and products of nonnegative numbers, far fewer than 2^20 roundings;
+lambda is scaled down by _DOWN).  The piece is taken at the smallest n <= 4
+whose bound is within its share, (b - a) / L_g of tol_g / 2 with L_g the
+total length of the group's intervals, so a group's pieces use at most
+half its tolerance whatever the other groups hold.  A group converges when
+its panels' |K15 - G7| plus its pieces' bounds is at most tol_g.  Inf or
+nan in any bound means "not certified".  A piece is offered again after
+halving only while some part of it might pass, that is while the
+remainder bound at the smallest |t| on the piece and at the largest |p'|
+any part can have, |p'(c)| plus the drift term above, still fits the
+share.  The N_m are built once per call, and only when some piece is
+offered.  _EXPAND is a cost rule: one offer costs about as much as a few
+hundred panels, so a cut piece of less phase, such as the corpora's small
+phases, stays with the panels.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +85,11 @@ SPAN = 4.0 * np.pi      # largest phase span of a panel before any refinement
 _PASSES = 64            # bisection passes allowed per stage
 _CHUNK = 1 << 14        # panels per block of exponentials
 _ROUNDING = 8.0 * np.finfo(float).eps   # see _rounding_floor
+_ORDER = 4              # largest expansion order n tried on a piece
+_U = 0.5 * np.finfo(float).eps          # unit roundoff
+_UP, _DOWN = 1.0 + 2.0**-30, 1.0 - 2.0**-30   # margins for computed bounds
+_ROTATE = (-1j, -1.0, 1j, 1.0)          # 1 / i^(m + 1) for m mod 4
+_EXPAND = 128 * SPAN    # smallest monotone piece offered to the expansion
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15): the Kronrod nodes x_0 > ...
 # > x_7 = 0 and their weights; the Gauss nodes are x_1, x_3, x_5 and x_7.
@@ -159,13 +221,125 @@ def _rounding_floor(p: PhasePoly, lo: np.ndarray, hi: np.ndarray):
     return _ROUNDING * (hi - lo) * (1.0 + size)
 
 
-def _split(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray, grp: np.ndarray):
+def _split(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray, *tags):
     """Panels with the flagged ones halved: the others first, then the left
-    halves, then the right halves, each in their previous order."""
+    halves, then the right halves, each in their previous order; each tag
+    array (a per-panel label) follows its panel into both halves."""
+    good = ~bad
     mid = 0.5 * (lo[bad] + hi[bad])
-    return (np.concatenate([lo[~bad], lo[bad], mid]),
-            np.concatenate([hi[~bad], mid, hi[bad]]),
-            np.concatenate([grp[~bad], grp[bad], grp[bad]]))
+    return [np.concatenate([lo[good], lo[bad], mid]),
+            np.concatenate([hi[good], mid, hi[bad]])] + [
+            np.concatenate([t[good], t[bad], t[bad]]) for t in tags]
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative error of k roundings in a row."""
+    return k * _U / (1.0 - k * _U)
+
+
+class _Series(NamedTuple):
+    """The expansion's polynomials for one phase p, as _horner stacks (rows
+    listed in order, |.| taken coefficient-wise).
+
+    N_m is computed in floating point, M_m is its majorant (the recursion on
+    |p'| and |p''| with the minus made a plus) and B_n = |N_n| + alpha_n M_n,
+    where alpha_n bounds the rounding of N_n's coefficients against M_n.
+    """
+
+    bounds: np.ndarray      # p', |p'|, |p''|, B_1..B_4, M_0..M_3, |p|, |p'|
+    ends: np.ndarray        # N_0..N_3, p', p: the end terms
+    gamma: float            # error of a p or p' evaluation, against |p|, |p'|
+    beta: float             # error of an N_m evaluation, against M_m
+
+
+# the points at which _expand evaluates the rows of _Series.bounds, as
+# indices into (c, |c|, r, r_min), and the rows B_1..B_4 once more at r_min
+_AT = np.array([0, 1] + [2] * 11 + [3] * _ORDER)
+_ROWS = np.r_[:13, 3:3 + _ORDER]
+
+
+def _majorants(n: np.ndarray, m: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """B_1..B_4 = |N_n| + alpha_n M_n from the computed N_n, their
+    majorants M_n and the rounding alpha_n of N_n against M_n: at r, a bound
+    on max |N_n| over the piece."""
+    return np.abs(n[1:]) + alpha[1:, None] * m[1:]
+
+
+def _series(p: PhasePoly) -> _Series:
+    """The _Series of phase p, by N_(m+1) = (2m + 1) N_m p'' - N_m' p' from
+    N_0 = 1; built once per osc_integrals call that needs it."""
+    deg = p.degree
+    full = p.full_coeffs()
+    d1 = full[1:] * np.arange(1.0, deg + 1)
+    d2 = np.append(d1[1:] * np.arange(1.0, deg), 0.0)
+    size = _ORDER * max(deg - 2, 0) + 1       # coefficients of N_4
+    ramp = np.arange(1.0, size)
+    n = np.zeros((_ORDER + 1, size))          # N_0..N_4
+    m = np.zeros((_ORDER + 1, size))          # M_0..M_4
+    n[0, 0] = m[0, 0] = 1.0
+    for k in range(_ORDER):
+        n[k + 1] = (2 * k + 1) * np.convolve(n[k], d2)[:size]
+        m[k + 1] = (2 * k + 1) * np.convolve(m[k], np.abs(d2))[:size]
+        if size > 1:
+            n[k + 1] -= np.convolve(n[k, 1:] * ramp, d1)[:size]
+            m[k + 1] += np.convolve(m[k, 1:] * ramp, np.abs(d1))[:size]
+    # per step: sums of at most deg products, the derivative, the factor
+    # 2m + 1, the difference, and the rounding of p' and p''
+    alpha = _gamma(deg + 5) * np.cumsum(np.r_[0.0, 1.01 ** np.arange(1, 5)])
+    bounds = np.zeros((max(size, deg + 1), 13))
+    bounds[:deg, :3] = np.array([d1, np.abs(d1), np.abs(d2)]).T
+    bounds[:size, 3:7] = _majorants(n, m, alpha).T
+    bounds[:size, 7:11] = m[:_ORDER].T
+    bounds[:deg + 1, 11] = np.abs(full)
+    bounds[:deg, 12] = np.abs(d1)
+    ends = np.zeros((max(size, deg + 1), _ORDER + 2))
+    ends[:size, :_ORDER] = n[:_ORDER].T
+    ends[:deg, _ORDER] = d1
+    ends[:deg + 1, _ORDER + 1] = full
+    return _Series(bounds[:, _ROWS, None], ends[:, :, None], _gamma(2 * deg),
+                   alpha[_ORDER - 1] + _gamma(2 * size))
+
+
+def _expand(p: PhasePoly, series: _Series, lo, hi, share):
+    """Integration by parts on the pieces [lo, hi]: (taken, hope, values,
+    errors), where taken marks the pieces whose certified error is within
+    their share (their values and error bounds follow), and hope the pieces
+    with a part that might still pass (see the module docstring)."""
+    ns = np.arange(1, _ORDER + 1)[:, None]
+    with np.errstate(all="ignore"):         # inf or nan certifies nothing
+        c = 0.5 * (lo + hi)
+        half = np.maximum(c - lo, hi - c)
+        r = np.maximum(np.abs(lo), np.abs(hi))
+        r_min = np.where(lo * hi > 0.0, np.minimum(np.abs(lo), np.abs(hi)), 0.0)
+        at = _horner(series.bounds, np.stack([c, np.abs(c), r, r_min])[_AT])
+        slope, slope_size, curve = at[:3]
+        drift = _UP * (series.gamma * slope_size + half * curve)
+        lam = (np.abs(slope) - drift) * _DOWN
+        rem = at[3:7] * (hi - lo) / lam ** (2 * ns)
+        q = np.cumsum(at[7:11] / lam ** (2 * ns - 1), axis=0)
+        rel = (series.gamma * at[11] + series.beta + 4.0 * (2 * ns - 1)
+               * (series.gamma * at[12] / lam + 2.0 * _U) + (2 * ns + 8) * _U)
+        err = _UP * (rem + np.where(rel <= 0.5, 4.0 * q * rel, np.inf))
+        fits = (lam > 0.0) & (err <= share)
+        # no part of a piece has a larger lambda than this, nor a smaller r
+        hope = np.any(at[13:] * (hi - lo) / (np.abs(slope) + drift) ** (2 * ns)
+                      <= share, axis=0)
+        taken = fits.any(axis=0)
+        if not taken.any():
+            return taken, hope, None, None
+        order = np.argmax(fits, axis=0)[taken]         # n - 1
+        t = np.concatenate([lo[taken], hi[taken]])
+        at_ends = _horner(series.ends, t)
+        w = 1.0 / at_ends[_ORDER]
+        w2, power = w * w, w
+        terms = np.empty((_ORDER, len(t)), dtype=complex)
+        for m in range(_ORDER):                 # N_m / (i^(m+1) p'^(2m+1))
+            terms[m] = at_ends[m] * power * _ROTATE[m]
+            power = power * w2
+        sums = np.cumsum(terms, axis=0)[np.tile(order, 2), np.arange(len(t))]
+        z = np.exp(1j * at_ends[_ORDER + 1]) * sums
+    return (taken, hope, z[len(order):] - z[:len(order)],
+            err[order, np.flatnonzero(taken)])
 
 
 def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
@@ -173,15 +347,20 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
     int exp(i p(t)) dt to absolute tolerance tol[g]; nan for a group that
     does not converge.  Intervals must be finite with lo < hi.
 
-    A group still open with no panel above both its share tol[g] / (2 n_g)
-    of the tolerance and its rounding floor (_rounding_floor) fails at once:
-    its tolerance is below what rounding lets the estimate resolve, and
-    halving further would only spend the panel budget.
+    A piece above SPAN is first offered to the expansion (_expand), which
+    takes it if its certified error is within its share, (b - a) / L_g of
+    tol[g] / 2, L_g the total length of the group's intervals; a group is
+    done when its panels' |K15 - G7| plus its pieces' errors is at most
+    tol[g].  A group still open with no panel above both its share
+    tol[g] / (2 n_g) of the tolerance and its rounding floor
+    (_rounding_floor) fails at once: its tolerance is below what rounding
+    lets the estimate resolve, and halving further would only spend the
+    panel budget.
 
     Groups are numbered 0 .. len(tol) - 1.  Each panel keeps its group's
     relative order through every split, and a group's sums run through its
-    panels in that order (bincount), so its result does not depend on the
-    other groups sharing the call.
+    panels and its pieces in that order (bincount), so its result does not
+    depend on the other groups sharing the call.
     """
     tol = np.asarray(tol, dtype=float)
     n = len(tol)
@@ -189,11 +368,15 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
     d1 = p.full_coeffs()[1:] * np.arange(1.0, p.degree + 1)    # p'
     d2 = d1[1:] * np.arange(1.0, p.degree)                    # p''
     crit = np.concatenate([_real_roots(d1), _real_roots(d2)])
-    lo, hi, grp = _cut(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
-                       np.asarray(group, dtype=np.intp), np.unique(crit))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    grp = np.asarray(group, dtype=np.intp)
+    lo, hi, grp = _cut(lo, hi, grp, np.unique(crit))
+    live = None     # the groups not done or lost, once some have pieces
 
     def drop(lost, *arrays):
         """The per-panel arrays without the panels of the lost groups."""
+        if live is not None:
+            live[lost] = False
         keep = ~lost[grp]
         return tuple(a[keep] for a in arrays)
 
@@ -201,24 +384,58 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
         count = np.bincount(grp, minlength=n)
         return count + np.bincount(grp, bad, minlength=n) > PANEL_CAP
 
-    # Bisect until each monotone piece spans at most SPAN of phase.
-    bad = np.abs(p(hi) - p(lo)) > SPAN
+    # Bisect until each monotone piece spans at most SPAN of phase.  A piece
+    # cut from one above _EXPAND is offered to the expansion first, and taken
+    # out if it passes, while it or a part of it may pass (hope).
+    span = np.abs(p(hi) - p(lo))
+    bad, hope = span > SPAN, span > _EXPAND
+    offer, series, pieces = hope.any(), None, []
     for _ in range(_PASSES):
         if not bad.any():
             break
-        bad, lo, hi, grp = drop(over_cap(bad), bad, lo, hi, grp)
-        lo, hi, grp = _split(bad, lo, hi, grp)
+        if offer:
+            idx = np.flatnonzero(bad & hope)
+            offer = len(idx) > 0
+        if offer:
+            if series is None:      # the pieces are still the cut intervals
+                series = _series(p)
+                with np.errstate(divide="ignore"):   # groups with no piece
+                    share = 0.5 * tol / np.bincount(grp, hi - lo, minlength=n)
+            took, hope[idx], values, errors = _expand(
+                p, series, lo[idx], hi[idx],
+                share[grp[idx]] * (hi[idx] - lo[idx]))
+            if took.any():
+                if live is None:
+                    live = np.bincount(grp, minlength=n) > 0
+                pieces.append((grp[idx[took]], errors, values))
+                keep = np.ones(len(lo), dtype=bool)
+                keep[idx[took]] = False
+                bad, hope, lo, hi, grp = (a[keep]
+                                          for a in (bad, hope, lo, hi, grp))
+        if offer:
+            bad, hope, lo, hi, grp = drop(over_cap(bad), bad, hope, lo, hi, grp)
+            lo, hi, grp, hope = _split(bad, lo, hi, grp, hope)
+        else:
+            bad, lo, hi, grp = drop(over_cap(bad), bad, lo, hi, grp)
+            lo, hi, grp = _split(bad, lo, hi, grp)
         bad = np.abs(p(hi) - p(lo)) > SPAN
     lo, hi, grp = drop(np.bincount(grp, bad, minlength=n) > 0, lo, hi, grp)
-
+    if pieces:      # the expansion pieces' errors and sums per group
+        owner, errors, values = (np.concatenate(a) for a in zip(*pieces))
+        exp_err = np.bincount(owner, errors, minlength=n)
+        exp_val = (np.bincount(owner, values.real, minlength=n)
+                   + 1j * np.bincount(owner, values.imag, minlength=n))
     vals, errs = _kronrod(p, lo, hi)
     for _ in range(_PASSES):
         count = np.bincount(grp, minlength=n)
         err = np.bincount(grp, errs, minlength=n)
-        done = (count > 0) & (err <= tol)
+        done = (live & (err + exp_err <= tol) if pieces
+                else (count > 0) & (err <= tol))
         if done.any():
             out[done] = (np.bincount(grp, vals.real, minlength=n)[done]
                          + 1j * np.bincount(grp, vals.imag, minlength=n)[done])
+            if pieces:
+                out[done] += exp_val[done]
         lo, hi, vals, errs, grp = drop(done, lo, hi, vals, errs, grp)
         if not len(grp):
             break

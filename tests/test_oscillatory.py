@@ -7,8 +7,9 @@ import pytest
 from scipy import special
 
 from curvemax import oscillatory
-from curvemax.curve_measure import mu_hat, sigma_hat
+from curvemax.curve_measure import mu_hat, sigma_hat, sigma_hat_dyadics
 from curvemax.multiplier import g_profile, nu_hat
+from curvemax.norms import _annulus_point
 from curvemax.oscillatory import (MAX_DEGREE, PhasePoly, QuadratureError,
                                   osc_integral, sublevel_measure, vdc_bound_check,
                                   vinogradov_check)
@@ -309,10 +310,21 @@ class _PanelCount:
 
 def test_tolerance_below_the_rounding_floor_fails_early(monkeypatch):
     # a phase of size 3e5 leaves a rounding floor near 5e-10 on [0, 1]; tol
-    # 1e-12 used to refine to about a million panels before failing
+    # 1e-12 used to refine to about a million panels before failing.  Away
+    # from a stationary point the expansion now takes the phase, so a linear
+    # phase needs no panel and 3e5 t^2 on [0, 1] meets tol; a stationary
+    # point where the phase is 7.5e4, here that of 3e5 (t^2 - t) at 1/2,
+    # still leaves its panels below the floor
     count = _PanelCount(monkeypatch)
+    b = 3e5
+    val = osc_integral(PhasePoly((b,)), 0.0, 1.0, tol=1e-12)
+    assert abs(val - (np.exp(1j * b) - 1.0) / (1j * b)) <= 1e-12
+    assert sum(count.sizes) == 0
+    val = osc_integral(PhasePoly((0.0, b)), 0.0, 1.0, tol=1e-12)
+    assert abs(val - fresnel_reference(b)) <= 1e-12
+    count.sizes.clear()
     with pytest.raises(QuadratureError):
-        osc_integral(PhasePoly((0.0, 3e5)), 0.0, 1.0, tol=1e-12)
+        osc_integral(PhasePoly((-b, b)), 0.0, 1.0, tol=1e-12)
     assert sum(count.sizes) <= 1 << 18
 
 
@@ -323,3 +335,92 @@ def test_tight_profile_window_stays_within_a_panel_budget(monkeypatch):
     prof = g_profile(np.array([0.9, 0.4]), tol=1e-13)
     assert max(count.sizes) <= 1 << 17
     assert prof.envelope_only
+
+
+class _Pieces:
+    """Wraps oscillatory._expand to record each piece it takes: (phase, a,
+    b, value, certified error)."""
+
+    def __init__(self, monkeypatch):
+        self.taken = []
+        inner = oscillatory._expand
+
+        def recorded(p, series, lo, hi, share):
+            took, hope, values, errors = inner(p, series, lo, hi, share)
+            if took.any():
+                self.taken += zip([p] * len(values), lo[took], hi[took],
+                                  values, errors)
+            return took, hope, values, errors
+
+        monkeypatch.setattr(oscillatory, "_expand", recorded)
+
+
+def _mp_integral(p: PhasePoly, a: float, b: float) -> complex:
+    """int_a^b exp(i p) by mpmath quad at 30 digits, on subintervals of
+    about 16 pi of phase."""
+    mp = pytest.importorskip("mpmath").mp
+    span = np.abs(np.diff(p(np.linspace(a, b, 2001)))).sum()
+    with mp.workdps(30):
+        coeffs = [mp.mpf(c) for c in p.full_coeffs()[::-1]]
+        cuts = mp.linspace(mp.mpf(a), mp.mpf(b), int(span / (16 * np.pi)) + 2)
+        return complex(mp.quad(lambda t: mp.expj(mp.polyval(coeffs, t)), cuts))
+
+
+# criterion 7's phases: sigma_hat at one scale k of an annulus point, at
+# about criterion 7's quadrature tolerance; each (seed, k) is one whose
+# pieces span the least phase, which keeps the reference cheap
+_SHELLS = {2: (12, 4), 4: (34, 3), 8: (4, 2), 16: (12, 2)}
+
+
+def _shell_pieces(monkeypatch, d: int):
+    """Every expansion piece of the shell, with its certified error."""
+    pieces = _Pieces(monkeypatch)
+    seed, k = _SHELLS[d]
+    sigma_hat_dyadics(_annulus_point(np.random.default_rng(seed), d), [k],
+                      5e-5)
+    return pieces.taken
+
+
+def _misses(pieces):
+    """The pieces whose value lies outside their certified error of the
+    mpmath reference."""
+    return [(a, b) for p, a, b, value, err in pieces
+            if abs(value - _mp_integral(p, a, b)) > err]
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_expansion_pieces_lie_within_their_certified_error(monkeypatch, d):
+    pieces = _shell_pieces(monkeypatch, d)
+    assert len(pieces) >= 2
+    assert _misses(pieces) == []
+
+
+def test_expansion_check_fails_without_the_first_remainder(monkeypatch):
+    # with B_1 = 0 a piece passes at n = 1 on its rounding bound alone, and
+    # the dropped remainder shows against the reference
+    inner = oscillatory._majorants
+
+    def no_first_remainder(n, m, alpha):
+        out = inner(n, m, alpha)
+        out[0] = 0.0
+        return out
+
+    monkeypatch.setattr(oscillatory, "_majorants", no_first_remainder)
+    assert _misses(_shell_pieces(monkeypatch, 8))
+
+
+def test_a_missed_root_makes_a_piece_fail_never_pass(monkeypatch):
+    # p' = 6000 (t + 0.6)(t - 0.1)(t - 0.7): with no roots proposed, the
+    # pieces around them fail their certificate and go to panels
+    roots = np.array([-0.6, 0.1, 0.7])
+    p = PhasePoly((252.0, -1230.0, -400.0, 1500.0))
+    assert np.allclose(np.polynomial.polynomial.polyroots(
+        p.full_coeffs()[1:] * np.arange(1, 5)), roots)
+    monkeypatch.setattr(oscillatory, "_real_roots", lambda c: np.empty(0))
+    pieces = _Pieces(monkeypatch)
+    tol = 1e-9
+    val = osc_integral(p, -1.5, 1.5, tol=tol)
+    assert pieces.taken
+    assert not [(a, b) for _, a, b, _, _ in pieces.taken
+                if ((a <= roots) & (roots <= b)).any()]
+    assert abs(val - _mp_integral(p, -1.5, 1.5)) <= tol

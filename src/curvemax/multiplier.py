@@ -22,7 +22,7 @@ expression over the window, exactly 0 where 2^k rho overflows.  One l2
 rule, sqrt(sum(x**2)) over a window's array, forms g, g_lower (from the
 floors) and both induction terms; as each floor is at most its modulus and
 the rule is monotone, g_lower <= g holds by construction.  A window's
-quadrature entries take one pass of the panel engine over its dyadic shells
+quadrature entries take one pass of the quadrature engine over its shells
 (curve_measure.sigma_hat_dyadics).  sup_search estimates sup g in one
 dimension; the growth experiment across dimensions, with its padded starts
 and its fit against log(d+1), is acceptance.log_growth.

@@ -253,9 +253,10 @@ class _Series(NamedTuple):
 
 
 # the points at which _expand evaluates the rows of _Series.bounds, as
-# indices into (c, |c|, r, r_min), and the rows B_1..B_4 once more at r_min
-_AT = np.array([0, 1] + [2] * 11 + [3] * _ORDER)
-_ROWS = np.r_[:13, 3:3 + _ORDER]
+# indices into (c, |c|, r, r_min), and the rows B_1..B_4 and |p| once more
+# at r_min
+_AT = np.array([0, 1] + [2] * 11 + [3] * (_ORDER + 1))
+_ROWS = np.r_[:13, 3:3 + _ORDER, 11]
 
 
 def _majorants(n: np.ndarray, m: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -321,9 +322,12 @@ def _expand(p: PhasePoly, series: _Series, lo, hi, share):
                * (series.gamma * at[12] / lam + 2.0 * _U) + (2 * ns + 8) * _U)
         err = _UP * (rem + np.where(rel <= 0.5, 4.0 * q * rel, np.inf))
         fits = (lam > 0.0) & (err <= share)
-        # no part of a piece has a larger lambda than this, nor a smaller r
-        hope = np.any(at[13:] * (hi - lo) / (np.abs(slope) + drift) ** (2 * ns)
-                      <= share, axis=0)
+        # no part of a piece has a larger lambda than this, a smaller r, or
+        # a larger share; nor a smaller rel, and Q_n >= 1 / lambda
+        top = np.abs(slope) + drift
+        floor = series.gamma * at[17] + series.beta
+        hope = (np.any(at[13:17] * (hi - lo) / top ** (2 * ns) <= share, axis=0)
+                & (floor <= 0.5) & (4.0 * floor / top <= share))
         taken = fits.any(axis=0)
         if not taken.any():
             return taken, hope, None, None
@@ -380,13 +384,16 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
         keep = ~lost[grp]
         return tuple(a[keep] for a in arrays)
 
-    def over_cap(bad):
-        count = np.bincount(grp, minlength=n)
-        return count + np.bincount(grp, bad, minlength=n) > PANEL_CAP
+    def over_cap(need):
+        """The groups whose panels will number more than PANEL_CAP, from a
+        lower bound on each panel's share of them."""
+        return np.bincount(grp, need, minlength=n) > PANEL_CAP
 
     # Bisect until each monotone piece spans at most SPAN of phase.  A piece
     # cut from one above _EXPAND is offered to the expansion first, and taken
-    # out if it passes, while it or a part of it may pass (hope).
+    # out if it passes, while it or a part of it may pass (hope).  A piece
+    # not offered ends as at least span / SPAN panels, one still offered as
+    # one.
     span = np.abs(p(hi) - p(lo))
     bad, hope = span > SPAN, span > _EXPAND
     offer, series, pieces = hope.any(), None, []
@@ -410,15 +417,18 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
                 pieces.append((grp[idx[took]], errors, values))
                 keep = np.ones(len(lo), dtype=bool)
                 keep[idx[took]] = False
-                bad, hope, lo, hi, grp = (a[keep]
-                                          for a in (bad, hope, lo, hi, grp))
+                bad, hope, span, lo, hi, grp = (
+                    a[keep] for a in (bad, hope, span, lo, hi, grp))
+        need = np.maximum(np.ceil(span / SPAN), 1.0)
         if offer:
-            bad, hope, lo, hi, grp = drop(over_cap(bad), bad, hope, lo, hi, grp)
+            need[hope] = 1.0
+            bad, hope, lo, hi, grp = drop(over_cap(need), bad, hope, lo, hi, grp)
             lo, hi, grp, hope = _split(bad, lo, hi, grp, hope)
         else:
-            bad, lo, hi, grp = drop(over_cap(bad), bad, lo, hi, grp)
+            bad, lo, hi, grp = drop(over_cap(need), bad, lo, hi, grp)
             lo, hi, grp = _split(bad, lo, hi, grp)
-        bad = np.abs(p(hi) - p(lo)) > SPAN
+        span = np.abs(p(hi) - p(lo))
+        bad = span > SPAN
     lo, hi, grp = drop(np.bincount(grp, bad, minlength=n) > 0, lo, hi, grp)
     if pieces:      # the expansion pieces' errors and sums per group
         owner, errors, values = (np.concatenate(a) for a in zip(*pieces))
@@ -442,8 +452,8 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
         bad = errs > (tol / (2.0 * np.maximum(count, 1)))[grp]
         bad[bad] = errs[bad] > _rounding_floor(p, lo[bad], hi[bad])
         stuck = np.bincount(grp, bad, minlength=n) == 0
-        bad, lo, hi, vals, errs, grp = drop(stuck | over_cap(bad), bad, lo, hi,
-                                            vals, errs, grp)
+        bad, lo, hi, vals, errs, grp = drop(stuck | over_cap(1 + bad), bad,
+                                            lo, hi, vals, errs, grp)
         lo, hi, grp = _split(bad, lo, hi, grp)
         kept = np.count_nonzero(~bad)
         new_vals, new_errs = _kronrod(p, lo[kept:], hi[kept:])

@@ -62,11 +62,12 @@ total length of the group's intervals, so a group's pieces use at most
 half its tolerance whatever the other groups hold.  A group converges when
 its panels' |K15 - G7| plus its pieces' bounds is at most tol_g.  Inf or
 nan in any bound means "not certified".  A piece is offered again after
-halving only while some part of it might pass, that is while the
-remainder bound at the smallest |t| on the piece and at the largest |p'|
-any part can have, |p'(c)| plus the drift term above, still fits the
-share.  The N_m are built once per call, and only when some piece is
-offered.  _EXPAND is a cost rule: one offer costs about as much as a few
+halving only while some part of it might pass: no part has a larger |p'|
+than |p'(c)| plus the drift term above, a smaller |t| than the piece, or
+a larger share per length, so the piece is dropped from the offers once
+the remainder bound, or 4 Q rel with Q >= 1 / |p'| and rel at least its
+phase and N_m terms, cannot fit the share even so.  The N_m are built
+once per call, and only when some piece is offered.  _EXPAND is a cost rule: one offer costs about as much as a few
 hundred panels, so a cut piece of less phase, such as the corpora's small
 phases, stays with the panels.
 """

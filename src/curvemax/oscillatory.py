@@ -392,9 +392,9 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
 
     # Bisect until each monotone piece spans at most SPAN of phase.  A piece
     # cut from one above _EXPAND is offered to the expansion first, and taken
-    # out if it passes, while it or a part of it may pass (hope).  A piece
-    # not offered ends as at least span / SPAN panels, one still offered as
-    # one.
+    # out if it passes, while it or a part of it may pass (hope).  While
+    # pieces are offered, the cap counts a piece not offered as the span /
+    # SPAN panels it must become, and one still offered as one.
     span = np.abs(p(hi) - p(lo))
     bad, hope = span > SPAN, span > _EXPAND
     offer, series, pieces = hope.any(), None, []
@@ -420,13 +420,13 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
                 keep[idx[took]] = False
                 bad, hope, span, lo, hi, grp = (
                     a[keep] for a in (bad, hope, span, lo, hi, grp))
-        need = np.maximum(np.ceil(span / SPAN), 1.0)
         if offer:
+            need = np.maximum(np.ceil(span / SPAN), 1.0)
             need[hope] = 1.0
             bad, hope, lo, hi, grp = drop(over_cap(need), bad, hope, lo, hi, grp)
             lo, hi, grp, hope = _split(bad, lo, hi, grp, hope)
         else:
-            bad, lo, hi, grp = drop(over_cap(need), bad, lo, hi, grp)
+            bad, lo, hi, grp = drop(over_cap(1 + bad), bad, lo, hi, grp)
             lo, hi, grp = _split(bad, lo, hi, grp)
         span = np.abs(p(hi) - p(lo))
         bad = span > SPAN

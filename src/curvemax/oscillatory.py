@@ -247,7 +247,8 @@ class _Series(NamedTuple):
     where alpha_n bounds the rounding of N_n's coefficients against M_n.
     """
 
-    bounds: np.ndarray      # p', |p'|, |p''|, B_1..B_4, M_0..M_3, |p|, |p'|
+    bounds: np.ndarray      # p', |p'|, |p''|, B_1..B_4, M_0..M_3, |p|, |p'|,
+                            # then B_1..B_4 and |p| again (see _AT)
     ends: np.ndarray        # N_0..N_3, p', p: the end terms
     gamma: float            # error of a p or p' evaluation, against |p|, |p'|
     beta: float             # error of an N_m evaluation, against M_m

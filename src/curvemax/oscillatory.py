@@ -67,9 +67,10 @@ than |p'(c)| plus the drift term above, a smaller |t| than the piece, or
 a larger share per length, so the piece is dropped from the offers once
 the remainder bound, or 4 Q rel with Q >= 1 / |p'| and rel at least its
 phase and N_m terms, cannot fit the share even so.  The N_m are built
-once per call, and only when some piece is offered.  _EXPAND is a cost rule: one offer costs about as much as a few
-hundred panels, so a cut piece of less phase, such as the corpora's small
-phases, stays with the panels.
+once per call, and only when some piece is offered.  _EXPAND is a cost
+rule: one offer costs about as much as a few hundred panels, so a cut
+piece of less phase, such as the corpora's small phases, stays with the
+panels.
 """
 
 from __future__ import annotations
@@ -353,7 +354,8 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
     int exp(i p(t)) dt to absolute tolerance tol[g]; nan for a group that
     does not converge.  Intervals must be finite with lo < hi.
 
-    A piece above SPAN is first offered to the expansion (_expand), which
+    A piece above SPAN cut from one above _EXPAND is offered to the
+    expansion (_expand) while some part of it may still pass; the expansion
     takes it if its certified error is within its share, (b - a) / L_g of
     tol[g] / 2, L_g the total length of the group's intervals; a group is
     done when its panels' |K15 - G7| plus its pieces' errors is at most
@@ -365,8 +367,8 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
 
     Groups are numbered 0 .. len(tol) - 1.  Each panel keeps its group's
     relative order through every split, and a group's sums run through its
-    panels and its pieces in that order (bincount), so its result does not
-    depend on the other groups sharing the call.
+    panels (bincount) and its pieces (np.add.at) in that order, so its
+    result does not depend on the other groups sharing the call.
     """
     tol = np.asarray(tol, dtype=float)
     n = len(tol)
@@ -377,12 +379,11 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     grp = np.asarray(group, dtype=np.intp)
     lo, hi, grp = _cut(lo, hi, grp, np.unique(crit))
-    live = None     # the groups not done or lost, once some have pieces
+    live = np.bincount(grp, minlength=n) > 0    # neither done nor lost
 
     def drop(lost, *arrays):
         """The per-panel arrays without the panels of the lost groups."""
-        if live is not None:
-            live[lost] = False
+        live[lost] = False
         keep = ~lost[grp]
         return tuple(a[keep] for a in arrays)
 
@@ -393,19 +394,19 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
 
     # Bisect until each monotone piece spans at most SPAN of phase.  A piece
     # cut from one above _EXPAND is offered to the expansion first, and taken
-    # out if it passes, while it or a part of it may pass (hope).  While
-    # pieces are offered, the cap counts a piece not offered as the span /
-    # SPAN panels it must become, and one still offered as one.
+    # out if it passes, while it or a part of it may pass (hope).  The cap
+    # counts a piece still offered as one panel and any other as the span /
+    # SPAN panels it must become.
     span = np.abs(p(hi) - p(lo))
     bad, hope = span > SPAN, span > _EXPAND
-    offer, series, pieces = hope.any(), None, []
+    series = None
+    # the expansion pieces' errors and sums per group, added in piece order
+    exp_err, exp_val = np.zeros(n), np.zeros(n, dtype=complex)
     for _ in range(_PASSES):
         if not bad.any():
             break
-        if offer:
-            idx = np.flatnonzero(bad & hope)
-            offer = len(idx) > 0
-        if offer:
+        idx = np.flatnonzero(bad & hope)
+        if len(idx):
             if series is None:      # the pieces are still the cut intervals
                 series = _series(p)
                 with np.errstate(divide="ignore"):   # groups with no piece
@@ -414,40 +415,28 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
                 p, series, lo[idx], hi[idx],
                 share[grp[idx]] * (hi[idx] - lo[idx]))
             if took.any():
-                if live is None:
-                    live = np.bincount(grp, minlength=n) > 0
-                pieces.append((grp[idx[took]], errors, values))
+                np.add.at(exp_err, grp[idx[took]], errors)
+                np.add.at(exp_val, grp[idx[took]], values)
                 keep = np.ones(len(lo), dtype=bool)
                 keep[idx[took]] = False
                 bad, hope, span, lo, hi, grp = (
                     a[keep] for a in (bad, hope, span, lo, hi, grp))
-        if offer:
-            need = np.maximum(np.ceil(span / SPAN), 1.0)
-            need[hope] = 1.0
-            bad, hope, lo, hi, grp = drop(over_cap(need), bad, hope, lo, hi, grp)
-            lo, hi, grp, hope = _split(bad, lo, hi, grp, hope)
-        else:
-            bad, lo, hi, grp = drop(over_cap(1 + bad), bad, lo, hi, grp)
-            lo, hi, grp = _split(bad, lo, hi, grp)
+        need = np.maximum(np.ceil(span / SPAN), 1.0)
+        need[hope] = 1.0
+        bad, hope, lo, hi, grp = drop(over_cap(need), bad, hope, lo, hi, grp)
+        lo, hi, grp, hope = _split(bad, lo, hi, grp, hope)
         span = np.abs(p(hi) - p(lo))
         bad = span > SPAN
     lo, hi, grp = drop(np.bincount(grp, bad, minlength=n) > 0, lo, hi, grp)
-    if pieces:      # the expansion pieces' errors and sums per group
-        owner, errors, values = (np.concatenate(a) for a in zip(*pieces))
-        exp_err = np.bincount(owner, errors, minlength=n)
-        exp_val = (np.bincount(owner, values.real, minlength=n)
-                   + 1j * np.bincount(owner, values.imag, minlength=n))
     vals, errs = _kronrod(p, lo, hi)
     for _ in range(_PASSES):
         count = np.bincount(grp, minlength=n)
         err = np.bincount(grp, errs, minlength=n)
-        done = (live & (err + exp_err <= tol) if pieces
-                else (count > 0) & (err <= tol))
+        done = live & (err + exp_err <= tol)
         if done.any():
             out[done] = (np.bincount(grp, vals.real, minlength=n)[done]
-                         + 1j * np.bincount(grp, vals.imag, minlength=n)[done])
-            if pieces:
-                out[done] += exp_val[done]
+                         + 1j * np.bincount(grp, vals.imag, minlength=n)[done]
+                         + exp_val[done])
         lo, hi, vals, errs, grp = drop(done, lo, hi, vals, errs, grp)
         if not len(grp):
             break

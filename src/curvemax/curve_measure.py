@@ -144,35 +144,45 @@ def _lipschitz_size(xi, ks, j_lo: int = 0):
     return dyadic_phase_size(weighted, ks) * scale
 
 
-def sigma_hat_dyadics(xi, ks, tol: float = 1e-10) -> np.ndarray:
+def sigma_hat_dyadics(xi, ks, tol=1e-10) -> np.ndarray:
     """sigma_hat(delta_{2^k} xi) for each k in ks, each to absolute
-    tolerance tol; nan where quadrature does not reach.
+    tolerance tol, one tolerance for all k or one per k; nan where
+    quadrature does not reach.
 
     One osc_integrals call covers every k: with m = k - k0,
     sigma_hat(delta_{2^k} xi) = 2^-m int_{2^{m-1} < |s| <= 2^m} e^{i phi(s)} ds
     for phi the phase of delta_{2^k0} xi, k0 = round(-log2 rho(xi)) keeping
-    its coefficients near unit size.  Shell k is one group at tol 2^m tol; a
-    group's result does not depend on the others, so each entry equals its
+    its coefficients near unit size.  Shell k is one group at tol 2^m tol_k;
+    a group's result does not depend on the others, so each entry equals its
     one-k value bit for bit.  Where the Lipschitz bound (_lipschitz_size)
-    on |sigma_hat - 1| is at most tol and below half an ulp of 1 the value
-    is 1: within tol, and what quadrature would return up to rounding.  A
+    on |sigma_hat - 1| is at most tol_k and below half an ulp of 1 the value
+    is 1: within tol_k, and what quadrature would return up to rounding.  A
     shell whose edges or tolerance leave the normal double range, or whose
     phase size (dyadic_phase_size) overflows, is nan.
     """
-    _require_tol(tol)
+    for t in np.ravel(tol).tolist():
+        _require_tol(t)
     xi = np.asarray(xi, dtype=float)
     ks = np.asarray(ks, dtype=float).reshape(-1)   # any integer k, however large
+    if top_index(xi) == 0:
+        return np.ones(len(ks), dtype=complex)
+    return _shells(xi, ks, tol, rho(xi))           # rho rejects non-finite xi
+
+
+def _shells(xi, ks, tol, rho_xi: float) -> np.ndarray:
+    """sigma_hat_dyadics for a nonzero xi with rho(xi) = rho_xi given, each
+    shell k at its tolerance tol_k (tol a scalar or one value per k)."""
+    ks = np.asarray(ks, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), ks.shape)
     out = np.full(len(ks), np.nan, dtype=complex)
     j_top = top_index(xi)
-    if j_top == 0:
-        out[:] = 1.0
-        return out
-    k0 = int(round(-math.log2(rho(xi))))    # rho rejects non-finite xi
-    settled = _lipschitz_size(xi, ks) <= min(tol, 0.5 * _ULP)
+    k0 = int(round(-math.log2(rho_xi)))
+    settled = _lipschitz_size(xi, ks) <= np.minimum(tol, 0.5 * _ULP)
     out[settled] = 1.0
 
     m = ks - k0
-    log2_tol = m + math.log2(tol)           # of the shell's tolerance
+    # of the shell's tolerance, with math.log2 as for a single tol
+    log2_tol = m + np.array([math.log2(t) for t in tol.tolist()])
     # dyadic_phase_size is finite where no log of its terms passes 700
     top_log = np.max(_dyadic_logs(xi, ks), axis=-1, initial=-math.inf)
     reach = (~settled & (top_log <= 700.0) & (m >= -1021) & (m <= 1023)
@@ -183,7 +193,7 @@ def sigma_hat_dyadics(xi, ks, tol: float = 1e-10) -> np.ndarray:
         _phase(np.ldexp(xi[:j_top], k0 * np.arange(1, j_top + 1))),
         np.concatenate([0.5 * outer, -outer]),
         np.concatenate([outer, -0.5 * outer]),
-        np.tile(np.arange(len(m)), 2), outer * tol)
+        np.tile(np.arange(len(m)), 2), outer * tol[reach])
     out[reach] = np.ldexp(sums.real, -m) + 1j * np.ldexp(sums.imag, -m)
     return out
 

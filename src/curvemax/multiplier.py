@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve_measure import (DyadicWindow, dyadic_phase_size,
-                            sigma_hat_dyadics, sigma_hat_upper_bound,
-                            top_index, _decay_prefactor, _lipschitz_size,
-                            _normal_frequency)
+                            sigma_hat_upper_bound, top_index,
+                            _decay_prefactor, _lipschitz_size,
+                            _normal_frequency, _shells)
 from .norms import _annulus_point, rho
 from .oscillatory import QuadratureError, _require_tol
 from .rng import family_stream
@@ -59,8 +59,9 @@ def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
     return z
 
 
-def _entries(vec, ks, rho_vec: float, quad_tol: float):
-    """(values, moduli, floors) of nu_hat(delta_{2^k} vec) for k in ks.
+def _entries(vec, ks, rho_vec: float, quad_tol):
+    """(values, moduli, floors) of nu_hat(delta_{2^k} vec) for k in ks, at
+    quadrature tolerance quad_tol (one for all k or one per k).
 
     A purely linear phase integrates in closed form, which keeps entries
     exact at any scale and zero-padded frequencies identical in every
@@ -70,7 +71,8 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
     the certified lower bound on the modulus: the modulus itself in closed
     form, less quad_tol for quadrature, and 0 for an envelope entry.
 
-    Quadrature takes one sigma_hat_dyadics call over the window's shells.
+    Quadrature takes one engine pass over the shells (curve_measure._shells,
+    the body of sigma_hat_dyadics, given rho_vec).
     """
     ks = np.asarray(ks)
     with np.errstate(over="ignore"):        # 2^k rho past range: exp(-inf) = 0
@@ -84,9 +86,11 @@ def _entries(vec, ks, rho_vec: float, quad_tol: float):
         values[np.isnan(values)] = 0.0
         mags = np.abs(values)
         return values, mags, mags
+    quad_tol = np.broadcast_to(quad_tol, ks.shape)
     values = np.full(len(ks), np.nan, dtype=complex)
     quad = 8.0 * dyadic_phase_size(vec, ks) <= PRACTICAL_PANEL_CAP
-    values[quad] = sigma_hat_dyadics(vec, ks[quad], quad_tol) - p_hat[quad]
+    values[quad] = (_shells(vec, ks[quad], quad_tol[quad], rho_vec)
+                    - p_hat[quad])
     mags = np.abs(values)
     env = np.isnan(mags)
     mags[env] = np.minimum(2.0, sigma_hat_upper_bound(vec, ks[env])
@@ -131,11 +135,16 @@ def _window_edge(tail_sq, start: int, step: int, tol: float, where: str):
     return int(ks[stop[0]]), float(tails[stop[0]])
 
 
+def _window_tol(tol: float, ks) -> float:
+    """tol / (8 sqrt(len(ks))), the quadrature tolerance of the window ks,
+    which keeps the window's summed quadrature error within tol / 8."""
+    return tol / (8.0 * math.sqrt(len(ks)))
+
+
 def _window_entries(vec, ks, rho_vec: float, tol: float):
-    """_entries over the window ks at quad_tol = tol / (8 sqrt(len(ks))),
-    which keeps the window's summed quadrature error within tol / 8;
-    returns (values, moduli, floors, quad_tol)."""
-    quad_tol = tol / (8.0 * math.sqrt(len(ks)))
+    """_entries over the window ks at its _window_tol; returns (values,
+    moduli, floors, quad_tol)."""
+    quad_tol = _window_tol(tol, ks)
     return _entries(vec, ks, rho_vec, quad_tol) + (quad_tol,)
 
 
@@ -233,16 +242,22 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     k_hi, far_tail_sq = _window_edge(
         lambda ks: _upper_tail_sq(_decay_prefactor(xi), rho_xi, ks),
         k_split + 1, 1, tol, "in the far term")
-    far_ks = range(k_split + 1, k_hi + 1)
-    zs, mags, _, _ = _window_entries(xi, far_ks, rho_xi, tol)
-    envelope = [k for k, z in zip(far_ks, zs) if np.isnan(z)]
-
+    far_ks = np.arange(k_split + 1, k_hi + 1)
     # near piece: k <= k_split, difference against the truncated frequency
     k_lo, near_tail_sq = _window_edge(
         lambda ks: _lower_tail_sq(xi, rho_xi - rho_y, half, ks), k_split, -1,
         tol, "in the near term")
     near_ks = np.arange(k_lo, k_split + 1)
-    zx, vx, _, _ = _window_entries(xi, near_ks, rho_xi, tol)
+
+    # xi's entries over both windows in one pass, each at its window's
+    # tolerance; a shell's entry does not depend on the others in the pass
+    n_near = len(near_ks)
+    zs, mags, _ = _entries(
+        xi, np.arange(k_lo, k_hi + 1), rho_xi,
+        np.repeat([_window_tol(tol, near_ks), _window_tol(tol, far_ks)],
+                  [n_near, len(far_ks)]))
+    zx, vx, zs, mags = zs[:n_near], mags[:n_near], zs[n_near:], mags[n_near:]
+    envelope = far_ks[np.isnan(zs)].tolist()
     zy, vy, _, _ = _window_entries(y, near_ks, rho_y, tol)
     # where either entry is beyond quadrature, the difference is at most the
     # sum of the moduli and at most b(k)

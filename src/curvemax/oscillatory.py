@@ -162,13 +162,30 @@ def _horner(c, t):
     return out
 
 
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Roots of c[0] + c[1] t + ... + c[n] t^n after its top zeros are
+    dropped, sorted as complex numbers; none for a constant.
+
+    numpy's polyroots without its wrappers: the same companion matrix, the
+    same eigvals and the same sort, so the bits are the same."""
+    c = c[:np.flatnonzero(c)[-1] + 1] if c.any() else c[:0]
+    if len(c) < 2:
+        return np.empty(0)
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    n = len(c) - 1
+    mat = np.zeros((n, n))
+    mat.reshape(-1)[n::n + 1] = 1.0
+    mat[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(mat)
+    roots.sort()
+    return roots
+
+
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of a power-basis polynomial, sorted, each once; a root
     counts as real when its imaginary part is within 1e-9 of its modulus."""
-    c = coeffs[:np.flatnonzero(coeffs)[-1] + 1] if coeffs.any() else coeffs[:0]
-    if len(c) <= 1:
-        return np.empty(0)
-    roots = np.polynomial.polynomial.polyroots(c)
+    roots = _roots(coeffs)
     return np.unique(roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real)
 
 
@@ -223,12 +240,17 @@ def _rounding_floor(p: PhasePoly, lo: np.ndarray, hi: np.ndarray):
     return _ROUNDING * (hi - lo) * (1.0 + size)
 
 
-def _split(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray, *tags):
-    """Panels with the flagged ones halved: the others first, then the left
-    halves, then the right halves, each in their previous order; each tag
-    array (a per-panel label) follows its panel into both halves."""
+def _split(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray, *tags,
+           mid=None):
+    """Panels with the flagged ones halved at mid (by default their
+    midpoints): the others first, then the left halves, then the right
+    halves, each in their previous order; each tag array (a per-panel label)
+    follows its panel into both halves.  With lo and hi the values of some
+    function at the panel ends and mid its values at the flagged panels'
+    midpoints, the same call splits those values."""
     good = ~bad
-    mid = 0.5 * (lo[bad] + hi[bad])
+    if mid is None:
+        mid = 0.5 * (lo[bad] + hi[bad])
     return [np.concatenate([lo[good], lo[bad], mid]),
             np.concatenate([hi[good], mid, hi[bad]])] + [
             np.concatenate([t[good], t[bad], t[bad]]) for t in tags]
@@ -396,8 +418,10 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
     # cut from one above _EXPAND is offered to the expansion first, and taken
     # out if it passes, while it or a part of it may pass (hope).  The cap
     # counts a piece still offered as one panel and any other as the span /
-    # SPAN panels it must become.
-    span = np.abs(p(hi) - p(lo))
+    # SPAN panels it must become.  The phase at the piece ends is carried
+    # along, so a pass evaluates p only at the new midpoints.
+    at_lo, at_hi = p(lo), p(hi)
+    span = np.abs(at_hi - at_lo)
     bad, hope = span > SPAN, span > _EXPAND
     series = None
     # the expansion pieces' errors and sums per group, added in piece order
@@ -419,13 +443,17 @@ def osc_integrals(p: PhasePoly, lo, hi, group, tol) -> np.ndarray:
                 np.add.at(exp_val, grp[idx[took]], values)
                 keep = np.ones(len(lo), dtype=bool)
                 keep[idx[took]] = False
-                bad, hope, span, lo, hi, grp = (
-                    a[keep] for a in (bad, hope, span, lo, hi, grp))
+                bad, hope, span, lo, hi, grp, at_lo, at_hi = (
+                    a[keep] for a in (bad, hope, span, lo, hi, grp, at_lo,
+                                      at_hi))
         need = np.maximum(np.ceil(span / SPAN), 1.0)
         need[hope] = 1.0
-        bad, hope, lo, hi, grp = drop(over_cap(need), bad, hope, lo, hi, grp)
-        lo, hi, grp, hope = _split(bad, lo, hi, grp, hope)
-        span = np.abs(p(hi) - p(lo))
+        bad, hope, lo, hi, grp, at_lo, at_hi = drop(
+            over_cap(need), bad, hope, lo, hi, grp, at_lo, at_hi)
+        mid = 0.5 * (lo[bad] + hi[bad])
+        at_lo, at_hi = _split(bad, at_lo, at_hi, mid=p(mid))
+        lo, hi, grp, hope = _split(bad, lo, hi, grp, hope, mid=mid)
+        span = np.abs(at_hi - at_lo)
         bad = span > SPAN
     lo, hi, grp = drop(np.bincount(grp, bad, minlength=n) > 0, lo, hi, grp)
     vals, errs = _kronrod(p, lo, hi)
@@ -491,7 +519,8 @@ def sublevel_measure(p: PhasePoly, a: float, b: float, delta: float,
     if not (np.isfinite([a, b]).all() and a < b and 0.0 <= delta < np.inf):
         raise ValueError(f"need finite a < b and finite delta >= 0, got "
                          f"a={a}, b={b}, delta={delta}")
-    poly = np.polynomial.polynomial
+    if not p.degree:                    # a constant: no roots, one sign
+        return float(b - a) if abs(p.constant) <= delta else 0.0
     c = np.array([(p.constant + s,) + p.coeffs for s in (-delta, delta)]).T
     e = np.frexp(max(abs(a), abs(b)))[1]
     cuts = [np.array([a, b])]
@@ -501,14 +530,15 @@ def sublevel_measure(p: PhasePoly, a: float, b: float, delta: float,
         live = np.flatnonzero(m)
         top = live[k[live] >= k[live].max() - 52].max() if len(live) else 0
         monic = np.ldexp(m[:top] / m[top], k[:top] - k[top])
-        cuts.append(np.ldexp(poly.polyroots(np.append(monic, 1.0)).real, e))
-    t, dp = np.concatenate(cuts), poly.polyder(c[:, 0])
+        cuts.append(np.ldexp(_roots(np.append(monic, 1.0)).real, e))
+    both = c[:, :, None]                # p - delta and p + delta, as rows
+    t, dp = np.concatenate(cuts), c[1:, 0] * np.arange(1.0, len(c))
     with np.errstate(all="ignore"):     # a wild Newton step only adds a cut
         for _ in range(2):              # towards both p - delta and p + delta
-            t = (t - poly.polyval(t, c) / poly.polyval(t, dp)).ravel()
+            t = (t - _horner(both, t) / _horner(dp, t)).ravel()
             cuts.append(t)
     cuts = np.sort(np.fmax(np.fmin(np.concatenate(cuts), b), a))   # nan -> b
-    below, above = poly.polyval(0.5 * (cuts[:-1] + cuts[1:]), c)
+    below, above = _horner(both, 0.5 * (cuts[:-1] + cuts[1:]))
     return float(np.sum(np.diff(cuts)[(below <= 0) & (above >= 0)]))
 
 

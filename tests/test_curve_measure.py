@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -195,6 +197,30 @@ def test_sigma_hat_is_the_unit_scale_shell():
         for tol in (1e-6, 1e-11):
             assert sigma_hat(xi, tol) == sigma_hat_dyadics(xi, (0,), tol)[0]
 
+
+
+def test_per_k_tolerance_gives_each_one_k_value():
+    # one call with a tolerance per k equals the one-k calls at scalar tol
+    # bit for bit, across mixed tolerances, a shell settled to 1 (k = -60)
+    # and a shell out of quadrature reach (nan, k = 2000)
+    rng = np.random.default_rng(31)
+    ks = np.array([-60, -3, -1, 0, 1, 2, 2000])
+    for d in (2, 3, 5, 8):
+        xi = _annulus(rng, d)
+        tols = 10.0 ** rng.uniform(-10.0, -3.0, len(ks))
+        vals = sigma_hat_dyadics(xi, ks, tols)
+        one = [sigma_hat_dyadics(xi, (k,), t)[0] for k, t in zip(ks, tols)]
+        assert vals.tobytes() == np.array(one).tobytes()
+        assert vals[0] == 1.0 and cmath.isnan(vals[-1])
+        assert not np.isnan(vals[1:-1]).any()
+
+
+@pytest.mark.parametrize("xi", [(0.7, 1.3), (0.0, 0.0)])
+@pytest.mark.parametrize("bad", [np.nan, 0.0, np.inf])
+def test_per_k_tolerance_rejects_each_bad_entry(xi, bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"tol must be finite and positive, got {bad}")):
+        sigma_hat_dyadics(xi, (0, 1, 2), [1e-6, bad, 1e-6])
 
 _ENTRY_POINTS = {
     "sigma_hat": sigma_hat,

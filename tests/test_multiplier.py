@@ -10,9 +10,10 @@ from curvemax.curve_measure import (dyadic_phase_size, sigma_hat_dyadics,
                                    _decay_prefactor, _lipschitz_coeffs,
                                    _lipschitz_size)
 from curvemax.multiplier import (g_profile, induction_diagnostics, nu_hat,
-                                 sup_search, _entries, _lower_tail_sq,
-                                 _upper_tail_sq)
-from curvemax.norms import dilate, rho
+                                 sup_search, _difference_bound, _entries,
+                                 _lower_tail_sq, _upper_tail_sq, _window_edge,
+                                 _window_entries)
+from curvemax.norms import _annulus_point, dilate, rho
 from curvemax.oscillatory import QuadratureError
 
 
@@ -69,8 +70,8 @@ def test_poisson_entry_vanishes_where_its_scale_overflows(monkeypatch):
     # with the shell transform set to 0, an entry is minus the kernel term
     # that _entries subtracts
     monkeypatch.setattr(multiplier, "PRACTICAL_PANEL_CAP", math.inf)
-    monkeypatch.setattr(multiplier, "sigma_hat_dyadics",
-                        lambda vec, ks, tol: np.zeros(len(ks)))
+    monkeypatch.setattr(multiplier, "_shells",
+                        lambda vec, ks, tol, rho_vec: np.zeros(len(ks)))
 
     def kernel(ks, rho_xi):
         values = _entries(np.array([1.0, 1.0]), np.array(ks), rho_xi, 1e-3)[0]
@@ -205,6 +206,57 @@ def test_induction_terms_at_extreme_magnitudes(xi):
              diag.term_near_tail)
     assert all(math.isfinite(t) and t >= 0.0 for t in terms)
 
+
+
+def _three_pass_induction(xi, tol):
+    """(term_far, term_near, envelope_ks) from three engine passes, far xi,
+    near xi and near y, each window through _window_entries."""
+    xi = np.asarray(xi, dtype=float)
+    rho_xi, half = float(rho(xi)), len(xi) // 2
+    y = xi.copy()
+    y[half:] = 0.0
+    rho_y = float(rho(y)) if np.any(y) else 0.0
+    top = np.abs(xi[half:]) ** (1.0 / np.arange(half + 1, len(xi) + 1))
+    k_split = math.floor(math.log2(1.0 / float(np.max(top))))
+    k_hi, _ = _window_edge(
+        lambda ks: _upper_tail_sq(_decay_prefactor(xi), rho_xi, ks),
+        k_split + 1, 1, tol, "far")
+    far_ks = range(k_split + 1, k_hi + 1)
+    zs, mags, _, _ = _window_entries(xi, far_ks, rho_xi, tol)
+    k_lo, _ = _window_edge(
+        lambda ks: _lower_tail_sq(xi, rho_xi - rho_y, half, ks), k_split, -1,
+        tol, "near")
+    near_ks = np.arange(k_lo, k_split + 1)
+    zx, vx, _, _ = _window_entries(xi, near_ks, rho_xi, tol)
+    zy, vy, _, _ = _window_entries(y, near_ks, rho_y, tol)
+    apart = np.isnan(zx) | np.isnan(zy)
+    b = _difference_bound(xi, rho_xi - rho_y, half, near_ks)
+    ws = np.where(apart, np.minimum(np.minimum(4.0, vx + vy), b),
+                  np.abs(zx - zy))
+    envelope = ([k for k, z in zip(far_ks, zs) if np.isnan(z)]
+                + near_ks[apart].tolist())
+    return (float(np.sqrt(np.sum(mags**2))), float(np.sqrt(np.sum(ws**2))),
+            tuple(envelope))
+
+
+_INDUCTION_POINTS = [
+    _annulus_point(np.random.default_rng([43, d, i]), d).tolist()
+    for d in (2, 4, 8, 16) for i in range(4)] + [
+    [1e200, 1.0], [1e300, 1e-300], [1e300, 1e150, 1e-300, 1e-300],
+    [30.0, 1e-4], [20.0, -3.0, 1e-3, 1e-5]]     # large phases below A
+
+
+@pytest.mark.parametrize("tol", [2e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("xi", _INDUCTION_POINTS)
+def test_induction_matches_three_engine_passes(xi, tol):
+    # one engine pass over both windows of xi, each shell at its window's
+    # tolerance, gives the three-pass terms bit for bit; at tol 1e-5 and
+    # 1e-7 some of these terms move if a window takes the other's tolerance
+    diag = induction_diagnostics(np.array(xi), tol=tol)
+    far, near, envelope = _three_pass_induction(xi, tol)
+    assert diag.term_far.hex() == far.hex()
+    assert diag.term_near.hex() == near.hex()
+    assert diag.envelope_ks == envelope
 
 def test_induction_terms_bounded_on_sample():
     rng = np.random.default_rng(21)

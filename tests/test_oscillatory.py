@@ -150,6 +150,37 @@ def test_sublevel_of_constant_polynomials(p, delta, expected):
     assert sublevel_measure(p, -1.0, 1.0, delta) == expected
 
 
+
+def test_roots_are_numpys_polyroots():
+    # the companion-matrix roots bit for bit, at every degree and with top
+    # zeros to trim; none for a constant or the zero polynomial
+    rng = np.random.default_rng(37)
+    poly = np.polynomial.polynomial
+    for deg in range(1, MAX_DEGREE + 1):
+        c = rng.standard_normal(deg + 1) * 10.0 ** rng.uniform(-3, 3, deg + 1)
+        c[rng.random(deg + 1) < 0.2] = 0.0
+        c[-1] = rng.choice([1.0, -2.5])
+        for cs in (c, np.append(c, [0.0, -0.0])):
+            ours, numpys = oscillatory._roots(cs), poly.polyroots(cs)
+            assert ours.dtype == numpys.dtype
+            assert ours.tobytes() == numpys.tobytes()
+    for cs in ([3.0], [3.0, 0.0], [0.0, -0.0]):
+        assert oscillatory._roots(np.array(cs)).size == 0
+        assert poly.polyroots(cs).size == 0
+
+
+def test_horner_on_a_coefficient_stack_is_numpys_polyval():
+    # two polynomials as the columns of one stack, as sublevel_measure
+    # evaluates p - delta and p + delta
+    rng = np.random.default_rng(41)
+    t = np.concatenate([rng.uniform(-2.0, 2.0, 50), [0.0, -0.0, 1.0, -1.0]])
+    for deg in (0, 1, 2, 7, MAX_DEGREE):
+        c = (rng.standard_normal((deg + 1, 2))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (deg + 1, 2)))
+        ours = oscillatory._horner(c[:, :, None], t)
+        assert ours.tobytes() == np.polynomial.polynomial.polyval(
+            t, c).tobytes()
+
 @pytest.mark.parametrize("delta", [1e-3, 0.5])
 def test_sublevel_at_max_degree(delta):
     # |t^64| <= delta on [-1, 1] is |t| <= delta^(1/64)

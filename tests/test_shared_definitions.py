@@ -155,7 +155,7 @@ def test_shell_transform_is_integrated_in_one_place():
              for mod, tree in _modules().items() for node in tree.body
              for name in _calls(node) if name == "osc_integrals"]
     assert [site for site in sites if site[0] != "oscillatory"] == [
-        ("curve_measure", "sigma_hat_dyadics")]
+        ("curve_measure", "_shells")]
     sigma_hat = _functions(_modules()["curve_measure"])["sigma_hat"]
     assert not {"osc_integral", "osc_integrals"} & set(_calls(sigma_hat))
 

@@ -364,7 +364,8 @@ def log_growth(seed: int, d_list, budget: int, tol: float, ind_dims,
     Each search also starts from the argmax of the largest dimension so far,
     zero-padded; the profile treats padded vectors identically in any
     ambient dimension, so the sups are monotone along the list by
-    construction.  The slope is a least-squares fit against log(d+1).
+    construction.  Two slopes are least-squares fits against log(d+1): one
+    of the sups of g, and one of the rows' sup_g_lower, on certified floors.
     The induction terms are off exactly when ind_dims is empty and per_dim 0.
     """
     _check_something(d_list=d_list)
@@ -379,11 +380,14 @@ def log_growth(seed: int, d_list, budget: int, tol: float, ind_dims,
         if len(prev) <= d:
             prev = rows[-1].argmax
     sups = [row.sup_estimate for row in rows]
+    lowers = [row.sup_g_lower for row in rows]
     if len(rows) >= 2:
-        slope, intercept = np.polyfit(np.log(np.array(d_list, dtype=float)
-                                             + 1.0), sups, 1)
+        x = np.log(np.array(d_list, dtype=float) + 1.0)
+        slope, intercept = np.polyfit(x, sups, 1)
+        slope_lower, intercept_lower = np.polyfit(x, lowers, 1)
     else:
         slope, intercept = 0.0, sups[0]
+        slope_lower, intercept_lower = 0.0, lowers[0]
     monotone = all(b >= a for a, b in zip(sups[:-1], sups[1:]))
     ratios = [s / math.log(d + 2.0) for s, d in zip(sups, d_list)]
     spread = max(ratios) / min(ratios)
@@ -406,6 +410,8 @@ def log_growth(seed: int, d_list, budget: int, tol: float, ind_dims,
         "ratio_to_log": ratios,
         "ratio_spread": {"value": spread, "limit": 3.0},
         "fit_slope": slope, "fit_intercept": intercept,
+        "fit_slope_lower": slope_lower,
+        "fit_intercept_lower": intercept_lower,
         "induction_max_far_term": max_far,
         "induction_max_near_term": max_near,
         "induction_points_per_dim": per_dim,

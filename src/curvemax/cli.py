@@ -320,7 +320,9 @@ def _growth_table(ns, cfg, seed, quick, d_list):
     rows = [{**row, "seed": seed} for row in det["rows"]]
     meta = {"budget": budget, "profile_tol": det["profile_tol"],
             "fit_slope": det["fit_slope"],
-            "fit_intercept": det["fit_intercept"]}
+            "fit_intercept": det["fit_intercept"],
+            "fit_slope_lower": det["fit_slope_lower"],
+            "fit_intercept_lower": det["fit_intercept_lower"]}
     return rows, meta, failures
 
 

@@ -5,8 +5,9 @@ sigma is the probability measure of arc length parameter on the curve
 over |t| <= 1.  Their transforms are oscillatory integrals with polynomial
 phase, and the anisotropic dilation acts by rescaling the frequency:
 sigma_hat at scale 2^k is sigma_hat(delta_{2^k} xi).  sigma_hat_dyadics
-evaluates many scales in one quadrature pass over rescaled dyadic shells;
-sigma_hat is its k = 0 case, and nu_hat and the profile call it too.  Each
+evaluates many scales in one quadrature pass over rescaled dyadic shells,
+at one tolerance or one per scale; sigma_hat is its k = 0 case, and nu_hat
+and the profile call its body, _shells, with the rho(xi) they hold.  Each
 scale's phase size and Lipschitz bound on |sigma_hat - 1| come from
 dyadic_phase_size and _lipschitz_size, which take many scales per call.
 

@@ -21,11 +21,14 @@ where its source is chosen, and the kernel term exp(-2^k rho) is one array
 expression over the window, exactly 0 where 2^k rho overflows.  One l2
 rule, sqrt(sum(x**2)) over a window's array, forms g, g_lower (from the
 floors) and both induction terms; as each floor is at most its modulus and
-the rule is monotone, g_lower <= g holds by construction.  A window's
-quadrature entries take one pass of the quadrature engine over its shells
-(curve_measure.sigma_hat_dyadics).  sup_search estimates sup g in one
-dimension; the growth experiment across dimensions, with its padded starts
-and its fit against log(d+1), is acceptance.log_growth.
+the rule is monotone, g_lower <= g holds by construction.  A frequency's
+quadrature entries take one pass of the quadrature engine over their
+shells (curve_measure._shells, the body of sigma_hat_dyadics, given the
+frequency's rho): the profile's window, or the near and far windows of
+induction_diagnostics together, each shell at its own window's tolerance.
+sup_search estimates sup g in one dimension; the growth experiment across
+dimensions, with its padded starts and its fits against log(d+1), is
+acceptance.log_growth.
 """
 
 from __future__ import annotations
@@ -215,7 +218,8 @@ def induction_diagnostics(xi, tol: float = 1e-3) -> InductionDiagnostics:
     Far scales (2^k > A) are summed on their own; near scales compare the
     full frequency against its truncation y to the lower half coordinates.
     Both pieces carry certified tails, mirroring the two-term estimate that
-    drives the dimensional induction.
+    drives the dimensional induction.  xi's entries over both windows take
+    one engine pass, y's a second.
     """
     xi, rho_xi = _profile_frequency(xi, tol)
     d = len(xi)

@@ -14,7 +14,8 @@ error estimate.  A group whose tolerance is below the rounding floor of its
 panels fails at once, and PANEL_CAP and a pass limit bound the rest, so a
 runaway request becomes an explicit failure: osc_integral, the one-interval
 case, raises QuadratureError.  sublevel_measure cuts [a, b] at the roots of
-p -/+ delta.
+p -/+ delta.  Both take their roots from one routine, _roots, and evaluate
+polynomials by one Horner rule, _horner.
 
 Integration by parts (the asymptotic method: Iserles & Norsett, Proc. R.
 Soc. A 461, 2005; Stein, Harmonic Analysis, 1993, ch. VIII).  Where p' has
@@ -514,12 +515,13 @@ def sublevel_measure(p: PhasePoly, a: float, b: float, delta: float,
     top terms below eps of the largest are dropped, which moves p on [a, b]
     only by rounding; monic coefficients built exponent by exponent cannot
     overflow.  The error is at most the sum of the root errors at the
-    boundary points, plus rounding of the sum.  ``grid_points`` is ignored.
+    boundary points, plus rounding of the sum.  A constant p has no roots
+    and one sign.  ``grid_points`` is ignored.
     """
     if not (np.isfinite([a, b]).all() and a < b and 0.0 <= delta < np.inf):
         raise ValueError(f"need finite a < b and finite delta >= 0, got "
                          f"a={a}, b={b}, delta={delta}")
-    if not p.degree:                    # a constant: no roots, one sign
+    if not p.degree:
         return float(b - a) if abs(p.constant) <= delta else 0.0
     c = np.array([(p.constant + s,) + p.coeffs for s in (-delta, delta)]).T
     e = np.frexp(max(abs(a), abs(b)))[1]

@@ -171,6 +171,12 @@ def test_growth_table_monotone_and_fits():
     assert all(r["g_lower"] <= r["sup_g_lower"] <= r["sup_estimate"]
                for r in table["rows"])
     assert np.isfinite(table["fit_slope"])
+    # the second slope fits the rows' sup_g_lower the same way
+    x = np.log(np.array([1.0, 2.0, 4.0]) + 1.0)
+    lowers = [r["sup_g_lower"] for r in table["rows"]]
+    slope, intercept = np.polyfit(x, lowers, 1)
+    assert (table["fit_slope_lower"], table["fit_intercept_lower"]) == (
+        slope, intercept)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -2e-3, 1.0, 5.0])

@@ -55,6 +55,9 @@ def test_growth_subcommands_report_criterion_7_rows(capsys):
     code, doc = run_cli(capsys, "log-growth", "--quick", "--format", "json")
     assert code == 0
     assert doc["rows"] == [{**row, "seed": 0} for row in crit.details["rows"]]
+    for key in ("fit_slope", "fit_intercept", "fit_slope_lower",
+                "fit_intercept_lower"):
+        assert doc["meta"][key] == crit.details[key]
 
     # one dimension is its own table: no padded start from a smaller d
     crit = acceptance.run("log-growth", quick=True, d_list=(8,), ind_dims=(),

@@ -182,7 +182,8 @@ def _shells(xi, ks, tol, rho_xi: float) -> np.ndarray:
     out[settled] = 1.0
 
     m = ks - k0
-    # of the shell's tolerance, with math.log2 as for a single tol
+    # of the shell's tolerance; math.log2 per entry, as numpy's vectorized
+    # log2 may differ from it in the last bit
     log2_tol = m + np.array([math.log2(t) for t in tol.tolist()])
     # dyadic_phase_size is finite where no log of its terms passes 700
     top_log = np.max(_dyadic_logs(xi, ks), axis=-1, initial=-math.inf)

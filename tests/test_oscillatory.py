@@ -52,6 +52,11 @@ TOL_ENTRIES = {
     "sigma_hat-zero": lambda tol: sigma_hat((0.0,), tol),
     "mu_hat-zero": lambda tol: mu_hat((0.0,), tol),
     "stable_density_1d": lambda tol: stable_density_1d(1.5, 0.3, tol=tol),
+    # one bad entry of a per-k tolerance
+    "sigma_hat_dyadics-per-k": lambda tol: sigma_hat_dyadics(
+        (0.7, 1.3), (0, 1, 2), [1e-6, tol, 1e-6]),
+    "sigma_hat_dyadics-per-k-zero": lambda tol: sigma_hat_dyadics(
+        (0.0, 0.0), (0, 1, 2), [1e-6, tol, 1e-6]),
 }
 
 

@@ -86,6 +86,14 @@ def rho(x):
     Each block is evaluated with its maximum of |x_j|^{1/j} factored out, so
     entries as small as 1e-300 or as large as 1e300 survive the inner powers
     without under/overflow and exact 1-homogeneity holds to rounding error.
+
+    A block's max and sum run along long rows of the batch.  A block of one
+    coordinate is its own size |x_j|^{1/j}, with no max or sum to take.  A
+    block of 2 to 7 coordinates is laid out coordinate-major, (w, ...), so
+    each reduction is one pass of w - 1 operations over the batch; numpy
+    adds fewer than 8 terms in sequence, so the sum keeps its order.  Wider
+    blocks keep the coordinates on the last axis, where the rows are long
+    enough and numpy's pairwise sum sets the order.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] < 1:
@@ -95,15 +103,28 @@ def rho(x):
         raise ValueError(f"dimension {d} exceeds cap {MAX_DIMENSION}")
     if not np.isfinite(x).all():
         raise ValueError("coordinates must be finite")
+    column = (slice(None),) + (None,) * (x.ndim - 1)
     total = np.zeros(x.shape[:-1], dtype=float)
     for lo, hi, level, js in _blocks(d):
-        block = np.abs(x[..., lo:hi])
-        scale = block ** (1.0 / js)  # |x_j|^{1/j}, the dilation-invariant size
-        m = np.max(scale, axis=-1)
-        safe_m = np.where(m > 0.0, m, 1.0)
-        ratios = scale / safe_m[..., None]
-        inner = np.sum(ratios ** float(2**level), axis=-1)
-        total = total + np.where(m > 0.0, m * inner ** (1.0 / 2**level), 0.0)
+        if hi - lo == 1:
+            # the max is the size itself, its ratio is 1, and 1^p = 1
+            total = total + (np.abs(x[..., lo:hi]) ** (1.0 / js))[..., 0]
+            continue
+        if hi - lo < 8:
+            # |x_j|^{1/j}, the dilation-invariant size, coordinate-major
+            scale = np.abs(x[..., lo:hi].T, order="C") ** (1.0 / js)[column]
+            m = np.maximum.reduce(scale)
+            pos = m > 0.0
+            inner = np.add.reduce((scale / np.where(pos, m, 1.0))
+                                  ** float(2**level))
+            m, pos, inner = m.T, pos.T, inner.T
+        else:
+            scale = np.abs(x[..., lo:hi]) ** (1.0 / js)
+            m = np.max(scale, axis=-1)
+            pos = m > 0.0
+            inner = np.sum((scale / np.where(pos, m, 1.0)[..., None])
+                           ** float(2**level), axis=-1)
+        total = total + np.where(pos, m * inner ** (1.0 / 2**level), 0.0)
     return total if total.ndim else float(total)
 
 

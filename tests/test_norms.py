@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from curvemax.norms import (MAX_DIMENSION, ParabolicSpace, ball_volume, dilate,
-                            make_space, polar_integration_check,
+from curvemax.norms import (MAX_DIMENSION, ParabolicSpace, _blocks, ball_volume,
+                            dilate, make_space, polar_integration_check,
                             quasi_triangle_ratio, rho)
 from curvemax.rng import stream
 
@@ -19,6 +19,50 @@ def test_known_point_values():
 
 def test_zero_vector():
     assert rho(np.zeros(5)) == 0.0
+
+
+def _rho_block_loop(x):
+    """rho as one loop over the blocks, each reduced over the last axis: the
+    form rho had before its reductions ran along the batch, kept as the
+    bit-for-bit reference."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(x.shape[:-1], dtype=float)
+    for lo, hi, level, js in _blocks(x.shape[-1]):
+        block = np.abs(x[..., lo:hi])
+        scale = block ** (1.0 / js)
+        m = np.max(scale, axis=-1)
+        safe_m = np.where(m > 0.0, m, 1.0)
+        ratios = scale / safe_m[..., None]
+        inner = np.sum(ratios ** float(2**level), axis=-1)
+        total = total + np.where(m > 0.0, m * inner ** (1.0 / 2**level), 0.0)
+    return total if total.ndim else float(total)
+
+
+# single vectors and a one-row batch take different numpy paths for
+# |x_2|^{1/2} (a stride-0 exponent of 0.5 is a square root), and a single
+# vector's inner root is a scalar power; each shape is drawn many times so
+# that a path taken in the wrong shape shows
+RHO_SHAPES = [((), 40), ((1,), 40), ((1, 1), 20), ((7,), 5), ((3, 1), 5),
+              ((1, 4), 5), ((3, 5), 5), ((2, 3, 4), 5), ((0,), 1),
+              ((10_000,), 1)]
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIMENSION + 1))
+def test_rho_is_the_block_loop_bit_for_bit(d):
+    rng = np.random.default_rng([23, d])
+    for shape, reps in RHO_SHAPES:
+        for _ in range(reps):
+            size = shape + (d,)
+            x = rng.standard_normal(size) * 10.0 ** rng.uniform(-300, 300, size)
+            x[rng.random(size) < 0.2] = 0.0
+            if shape == (10_000,):
+                x[:3] = [[0.0], [1e-300], [1e300]]   # a zero row, two extremes
+            if shape == (3, 5):
+                x = np.asfortranarray(x)
+            got, want = rho(x), _rho_block_loop(x)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("d, alpha", [(1, 1), (4, 10), (5, 15)])

@@ -67,17 +67,28 @@ def _blocks(d: int):
 def dilate(x, s):
     """Apply the anisotropic dilation: coordinate j scales by s^j.
 
-    Accepts (..., d) arrays; s may broadcast against the leading axes.  For
-    a power of two s = 2^m whose powers s^j leave the normal range, exponents
-    scale by m j instead (ldexp), so a zero coordinate stays zero.
+    Accepts (..., d) arrays; s may broadcast against the leading axes and
+    must be positive and finite (ValueError naming s otherwise).  For a power
+    of two s = 2^m whose powers s^j leave the normal range, exponents scale
+    by m j instead (ldexp), so a zero coordinate stays zero.
     """
-    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    ok = (s > 0.0) & (s < math.inf)
+    if not ok.all():
+        raise ValueError(f"dilation s must be positive and finite, "
+                         f"got {float(s[~ok].flat[0])}")
+    return _dilate(np.asarray(x, dtype=float), s)
+
+
+def _dilate(x, s, out=None):
+    """dilate's arithmetic for a float array x and a checked s, written to
+    out (x itself, for a dilation in place) or to a new array."""
     s = np.asarray(s, dtype=float)[..., None]
     js = np.arange(1, x.shape[-1] + 1)
     mant, exp = np.frexp(s)
     if np.all(mant == 0.5) and np.any(np.abs((exp - 1) * js) > 1022):
-        return np.ldexp(x, (exp - 1) * js)
-    return x * s ** js
+        return np.ldexp(x, (exp - 1) * js, out=out)
+    return np.multiply(x, s ** js, out=out)
 
 
 def rho(x):
@@ -152,8 +163,8 @@ def ball_volume(space: ParabolicSpace, r: float, samples: int = 10**6,
     """
     if space.d > 4:
         raise ValueError("ball_volume supports d <= 4")
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius r must be positive and finite, got {r}")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     rng = stream(seed, STREAMS["ball-volume"])

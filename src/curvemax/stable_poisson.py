@@ -17,13 +17,14 @@ final dilation by t; that bridge is what makes the d = 1 kernel density equal
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
 
-from .norms import dilate, make_space, rho, _blocks
+from .norms import make_space, rho, _blocks, _dilate
 from .oscillatory import _require_tol
 from .rng import STREAMS, stream
 
@@ -90,9 +91,15 @@ def sample_positive_stable(gamma: float, rng: np.random.Generator, size=None):
 
 def sample_kernel_batch(space, t: float, n: int,
                         rng: np.random.Generator) -> tuple:
-    """n kernel draws at scale t: points (n, d) plus per-level subordinators."""
+    """n kernel draws at scale t: points (n, d) plus per-level subordinators.
+
+    The points are one buffer: each coordinate is written into it, then it
+    is divided by 2 pi and dilated by t in place.
+    """
     if not 0 < t < math.inf:
         raise ValueError(f"scale must be positive and finite, got {t}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     x = np.empty((n, space.d))
     subs = {}
     for _, _, level, js in _blocks(space.d):
@@ -104,7 +111,8 @@ def sample_kernel_batch(space, t: float, n: int,
             if level:
                 y = y * tsub ** (j / 2**level)
             x[:, j - 1] = y
-    return dilate(x / (2.0 * math.pi), t), subs
+    x /= 2.0 * math.pi
+    return _dilate(x, t, out=x), subs
 
 
 class CheckResult(NamedTuple):
@@ -139,6 +147,9 @@ def gram_psd_check(points, t: float = 1.0) -> float:
     if not 0 < t < math.inf:
         raise ValueError(f"scale must be positive and finite, got {t}")
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or not len(pts):
+        raise ValueError(f"points must be a nonempty (m, d) array, "
+                         f"got shape {pts.shape}")
     gram = np.exp(-t * rho(pts[:, None, :] - pts[None, :, :]))
     return float(np.linalg.eigvalsh(gram)[0])
 
@@ -158,6 +169,8 @@ def semigroup_check(s: float, t: float, xi, n_samples: int = 200_000,
     ulps at the given frequencies.  Sample side: summing independent draws at
     scales s and t matches the scale s+t transform within 3 standard errors.
     """
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     space = make_space(xi.shape[-1])
     r = rho(xi)

@@ -131,6 +131,21 @@ def test_power_of_two_dilation_is_exponent_scaling(x, m):
     np.testing.assert_array_equal(out, expected)
 
 
+@pytest.mark.parametrize("s", [-1.0, 0.0, np.nan, np.inf, [2.0, -0.5]])
+def test_dilate_rejects_a_scale_off_the_half_line(s):
+    # -1 flipped the odd coordinates, 0 zeroed them and nan gave nan; none
+    # of these is a dilation
+    with pytest.raises(ValueError, match="dilation s must be positive and finite"):
+        dilate(np.ones((2, 3)), s)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf, 0.0, -1.0])
+def test_ball_volume_names_its_radius(r):
+    # nan and inf reached rho, which reported non-finite coordinates
+    with pytest.raises(ValueError, match="radius r must be positive and finite"):
+        ball_volume(make_space(2), r, samples=1000)
+
+
 @pytest.mark.parametrize("x", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0],
                                [1.0, -np.inf], [[1.0, 2.0], [np.nan, 0.0]]])
 def test_non_finite_coordinates_raise(x):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,12 +101,57 @@ def test_stable_blocks_cover_all_indices():
             assert all(1.0 <= 2**level / j <= 2.0 for j in js)
 
 
-def test_kernel_draws_scale_by_dilation():
-    # same substream, so the underlying uniforms agree draw for draw
+@pytest.mark.parametrize("t", [2.0, 0.3, 2.0**600, 2.0**-600])
+def test_kernel_draws_scale_by_dilation(t):
+    # same substream, so the underlying uniforms agree draw for draw, and the
+    # in-place dilation is dilate's arithmetic: equal bit for bit (2^600 and
+    # 2^-600 take dilate's exponent-scaling branch)
     space = make_space(4)
-    pts1, _ = sample_kernel_batch(space, 1.0, 500, stream(9, 3))
-    pts2, _ = sample_kernel_batch(space, 2.0, 500, stream(9, 3))
-    np.testing.assert_allclose(pts2, dilate(pts1, 2.0), rtol=1e-12, atol=0.0)
+    with np.errstate(over="ignore"):
+        pts, _ = sample_kernel_batch(space, t, 500, stream(9, 3))
+        unit, _ = sample_kernel_batch(space, 1.0, 500, stream(9, 3))
+        assert pts.tobytes() == dilate(unit, t).tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_kernel_batch_peak_is_one_buffer_and_a_few_draws(d):
+    # the points are one (n, d) buffer, divided by 2 pi and dilated in place;
+    # besides it the sampler holds the subordinators it returns (one per
+    # level, at most 4 here) and the temporaries of one coordinate's draw.
+    # Three (n, d) arrays (x, x / 2 pi, the dilation) peaked at 28 and 53
+    # arrays of n doubles.
+    space = make_space(d)
+    n = 50_000
+    sample_kernel_batch(space, 1.0, 10, stream(9, 3))   # fill lazy caches
+    tracemalloc.start()
+    try:
+        sample_kernel_batch(space, 1.0, n, stream(9, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * (d + 12)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, "10"])
+def test_kernel_draws_need_a_positive_integer_count(n):
+    # -1 ended in numpy's "negative dimensions", 2.5 in a TypeError, and 0
+    # returned empty arrays
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        sample_kernel_batch(make_space(2), 1.0, n, stream(9, 3))
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_semigroup_check_needs_a_sample(n_samples):
+    # n_samples = 0 returned passed=False with nan gaps
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+        semigroup_check(0.7, 1.3, [[0.3, 1.1]], n_samples=n_samples)
+
+
+@pytest.mark.parametrize("points", [[], np.empty((0, 2)), [1.0, 2.0]])
+def test_gram_check_needs_points(points):
+    # no points ended in an IndexError
+    with pytest.raises(ValueError, match="nonempty"):
+        gram_psd_check(points)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])

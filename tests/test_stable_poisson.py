@@ -66,6 +66,20 @@ def test_positive_sampler_laplace_transform(gamma):
         assert gap <= 3.0 * vals.std() / math.sqrt(n) + 1e-12
 
 
+def test_level_one_draws_are_the_general_form_within_8_ulps():
+    # at gamma = 1/2 the sampler takes 1 / (4 W cos(U/2)^2), one cosine; the
+    # general form, evaluated here on the same U and W, differs only by
+    # rounding
+    n = 200_000
+    got = sample_positive_stable(0.5, stream(5, 3), size=n)
+    rng = stream(5, 3)
+    u = rng.uniform(0.0, math.pi, size=n)
+    w = rng.standard_exponential(size=n)
+    a = np.sin(0.5 * u) ** 1.0 * np.sin(0.5 * u) / np.sin(u) ** 2.0
+    want = (a / w) ** 1.0
+    assert np.all(np.abs(got - want) <= 8.0 * np.spacing(want))
+
+
 def test_half_stable_matches_inverse_square_normal():
     # gamma = 1/2 subordinator equals 1/(2 Z^2) in law
     rng = np.random.default_rng(44)

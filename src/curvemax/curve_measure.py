@@ -113,23 +113,29 @@ def _normal_frequency(xi) -> np.ndarray:
     return xi
 
 
-def _dyadic_logs(xi, ks) -> np.ndarray:
-    """log |xi_j| + k j log 2 for each k in ks (rows) and each nonzero xi_j
-    (columns): the logs of the terms of dyadic_phase_size."""
+def _dyadic_logs(xi, ks):
+    """(logs, top): log |xi_j| + k j log 2 for each k in ks (rows) and each
+    nonzero xi_j (columns), the logs of the terms of dyadic_phase_size, and
+    the largest log of each row (-inf for the zero vector)."""
     xi = np.asarray(xi, dtype=float)
     nz = np.nonzero(xi)[0]
-    return (np.log(np.abs(xi[nz]))
+    logs = (np.log(np.abs(xi[nz]))
             + np.multiply.outer(np.asarray(ks, dtype=float), nz + 1.0) * _LN2)
+    return logs, np.max(logs, axis=-1, initial=-math.inf)
+
+
+def _phase_size(logs, top):
+    """dyadic_phase_size from the logs of its terms and their largest."""
+    # exp of the clipped logs, so that no overflow warns; no term sums to 0
+    return np.where(top > 700.0, math.inf,
+                    np.sum(np.exp(np.minimum(logs, 700.0)), axis=-1))
 
 
 def dyadic_phase_size(xi, ks):
     """sum_j |xi_j| 2^{kj} for each k in ks (a float for one k), an upper
     proxy for total phase variation / 4 pi; inf where a term overflows.
     Callers use it to decide whether quadrature at scale k is affordable."""
-    logs = _dyadic_logs(xi, ks)
-    # exp of the clipped logs, so that no overflow warns; no term sums to 0
-    out = np.where(np.max(logs, axis=-1, initial=-math.inf) > 700.0, math.inf,
-                   np.sum(np.exp(np.minimum(logs, 700.0)), axis=-1))
+    out = _phase_size(*_dyadic_logs(xi, ks))
     return float(out) if out.ndim == 0 else out
 
 
@@ -170,9 +176,13 @@ def sigma_hat_dyadics(xi, ks, tol=1e-10) -> np.ndarray:
     return _shells(xi, ks, tol, rho(xi))           # rho rejects non-finite xi
 
 
-def _shells(xi, ks, tol, rho_xi: float) -> np.ndarray:
+def _shells(xi, ks, tol, rho_xi: float, top_log=None) -> np.ndarray:
     """sigma_hat_dyadics for a nonzero xi with rho(xi) = rho_xi given, each
-    shell k at its tolerance tol_k (tol a scalar or one value per k)."""
+    shell k at its tolerance tol_k (tol a scalar or one value per k).
+
+    top_log, when given, is the largest log of the terms of
+    dyadic_phase_size(xi, ks) per k (from _dyadic_logs), which the caller
+    has formed for its own quadrature gate."""
     ks = np.asarray(ks, dtype=float)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), ks.shape)
     out = np.full(len(ks), np.nan, dtype=complex)
@@ -186,7 +196,8 @@ def _shells(xi, ks, tol, rho_xi: float) -> np.ndarray:
     # log2 may differ from it in the last bit
     log2_tol = m + np.array([math.log2(t) for t in tol.tolist()])
     # dyadic_phase_size is finite where no log of its terms passes 700
-    top_log = np.max(_dyadic_logs(xi, ks), axis=-1, initial=-math.inf)
+    if top_log is None:
+        top_log = _dyadic_logs(xi, ks)[1]
     reach = (~settled & (top_log <= 700.0) & (m >= -1021) & (m <= 1023)
              & (log2_tol >= -1022.0) & (log2_tol <= 1023.0))
     m = m[reach].astype(int)

@@ -39,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_measure import (DyadicWindow, dyadic_phase_size,
-                            sigma_hat_upper_bound, top_index,
-                            _decay_prefactor, _lipschitz_size,
-                            _normal_frequency, _shells)
+from .curve_measure import (DyadicWindow, sigma_hat_upper_bound, top_index,
+                            _decay_prefactor, _dyadic_logs, _lipschitz_size,
+                            _normal_frequency, _phase_size, _shells)
 from .norms import _annulus_point, rho
 from .oscillatory import QuadratureError, _require_tol
 from .rng import family_stream
@@ -75,7 +74,8 @@ def _entries(vec, ks, rho_vec: float, quad_tol):
     form, less quad_tol for quadrature, and 0 for an envelope entry.
 
     Quadrature takes one engine pass over the shells (curve_measure._shells,
-    the body of sigma_hat_dyadics, given rho_vec).
+    the body of sigma_hat_dyadics, given rho_vec and the largest log of the
+    phase-size terms per k, which the gate has formed).
     """
     ks = np.asarray(ks)
     with np.errstate(over="ignore"):        # 2^k rho past range: exp(-inf) = 0
@@ -91,9 +91,12 @@ def _entries(vec, ks, rho_vec: float, quad_tol):
         return values, mags, mags
     quad_tol = np.broadcast_to(quad_tol, ks.shape)
     values = np.full(len(ks), np.nan, dtype=complex)
-    quad = 8.0 * dyadic_phase_size(vec, ks) <= PRACTICAL_PANEL_CAP
-    values[quad] = (_shells(vec, ks[quad], quad_tol[quad], rho_vec)
-                    - p_hat[quad])
+    # the logs of the phase-size terms, formed once: they gate quadrature
+    # here and decide the shells' reach in _shells
+    logs, top_log = _dyadic_logs(vec, ks)
+    quad = 8.0 * _phase_size(logs, top_log) <= PRACTICAL_PANEL_CAP
+    values[quad] = (_shells(vec, ks[quad], quad_tol[quad], rho_vec,
+                            top_log[quad]) - p_hat[quad])
     mags = np.abs(values)
     env = np.isnan(mags)
     mags[env] = np.minimum(2.0, sigma_hat_upper_bound(vec, ks[env])

@@ -71,7 +71,7 @@ def test_poisson_entry_vanishes_where_its_scale_overflows(monkeypatch):
     # that _entries subtracts
     monkeypatch.setattr(multiplier, "PRACTICAL_PANEL_CAP", math.inf)
     monkeypatch.setattr(multiplier, "_shells",
-                        lambda vec, ks, tol, rho_vec: np.zeros(len(ks)))
+                        lambda vec, ks, tol, rho_vec, top_log: np.zeros(len(ks)))
 
     def kernel(ks, rho_xi):
         values = _entries(np.array([1.0, 1.0]), np.array(ks), rho_xi, 1e-3)[0]

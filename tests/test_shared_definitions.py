@@ -199,18 +199,22 @@ def _per_iteration(node) -> list:
 
 
 def test_phase_size_is_one_call_over_the_scales():
-    # the quadrature gates read dyadic_phase_size, and the envelope entries
+    # the quadrature gates read the phase size, and the envelope entries
     # sigma_hat_upper_bound, once over all their scales; the near term reads
-    # its difference bound from one _lipschitz_size call
+    # its difference bound from one _lipschitz_size call.  The profile's gate
+    # forms the logs of the phase-size terms once (_dyadic_logs) and takes
+    # the size from them (_phase_size, the body of dyadic_phase_size), as it
+    # hands their per-scale maximum on to _shells
     modules = _modules()
-    for mod in ("multiplier", "cli"):
+    for mod, gate in (("multiplier", "_phase_size"), ("cli", "dyadic_phase_size")):
         repeated = [name for node in ast.walk(modules[mod])
                     for part in _per_iteration(node) for name in _calls(part)]
-        for name in ("dyadic_phase_size", "sigma_hat_upper_bound",
+        for name in (gate, "_dyadic_logs", "sigma_hat_upper_bound",
                      "_lipschitz_size"):
             assert name not in repeated, (mod, name)
-        for name in ("dyadic_phase_size", "sigma_hat_upper_bound"):
+        for name in (gate, "sigma_hat_upper_bound"):
             assert name in _calls(modules[mod]), (mod, name)
+    assert "dyadic_phase_size" not in _calls(modules["multiplier"])
 
 
 def test_growth_experiment_is_defined_in_acceptance():

@@ -11,6 +11,13 @@ with the last (possibly partial) block running up to d.  Each inner exponent
 1-homogeneous under the dilations, symmetric, and vanishes only at 0.  The
 homogeneous dimension is alpha = 1 + 2 + ... + d = d(d+1)/2: Lebesgue measure
 of a dilated set scales by s^alpha.
+
+rho reduces each block along the batch, not along a short row per vector: a
+one-coordinate block needs no max or sum, a block of 2 to 7 coordinates is
+reduced coordinate-major in numpy's own summation order, and wider blocks
+keep the last axis, so every output equals the plain block loop bit for bit.
+dilate checks its scale and hands the arithmetic to _dilate, which the
+kernel sampler also calls to dilate its draws in place.
 """
 
 from __future__ import annotations

@@ -12,6 +12,13 @@ E exp(iuX) = exp(-|u|^beta).  The package measures Fourier transforms with
 E exp(-2 pi i xi . X), so kernel coordinates are divided by 2 pi before the
 final dilation by t; that bridge is what makes the d = 1 kernel density equal
 2 / (1 + 4 pi^2 x^2) rather than the unit Cauchy density.
+
+A batch of kernel draws is one (n, d) buffer: each coordinate is written into
+it, and the division by 2 pi and the dilation by t happen in place, with
+dilate's arithmetic.  The level-1 subordinator (gamma = 1/2, present for every
+d >= 2) takes the Chambers-Mallows-Stuck form's closed case
+T = 1 / (4 W cos(U/2)^2): one cosine per draw, the same U and W, and the
+general form's value within a few ulps.
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ def test_zero_vector():
 
 def _rho_block_loop(x):
     """rho as one loop over the blocks, each reduced over the last axis: the
-    form rho had before its reductions ran along the batch, kept as the
-    bit-for-bit reference."""
+    plain form of the definition, kept as the bit-for-bit reference."""
     x = np.asarray(x, dtype=float)
     total = np.zeros(x.shape[:-1], dtype=float)
     for lo, hi, level, js in _blocks(x.shape[-1]):

@@ -25,10 +25,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .acceptance import jsonable, preset, run, run_all
-from .curve_measure import (dyadic_phase_size, sigma_hat_dyadics,
-                            sigma_hat_upper_bound)
+from .curve_measure import sigma_hat_dyadics, sigma_hat_upper_bound
 from .norms import MAX_DIMENSION, rho
-from .oscillatory import PANEL_CAP
 from .rng import SEED_DERIVATION
 
 # The widest k range of sigma-hat.  2^k xi_1 is a nonzero finite double only
@@ -267,11 +265,10 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
         bounds = sigma_hat_upper_bound(xi, ks).tolist()
     except ValueError as exc:
         raise ConfigError(f"--xi: {exc}")
-    vals = np.full(len(ks), np.nan, dtype=complex)
-    quad = 8.0 * dyadic_phase_size(xi, ks) <= PANEL_CAP
-    vals[quad] = sigma_hat_dyadics(xi, [k for k, q in zip(ks, quad) if q], tol)
+    # nan where quadrature does not reach: the row carries the bound alone
+    vals = sigma_hat_dyadics(xi, ks, tol).tolist()
     rows, failures = [], []
-    for k, bound, val in zip(ks, bounds, vals.tolist()):
+    for k, bound, val in zip(ks, bounds, vals):
         row = {"k": k, "quad_tol": tol, "certified_bound": bound}
         if cmath.isnan(val):
             row.update({"abs": None, "real": None, "imag": None,

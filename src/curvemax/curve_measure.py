@@ -113,6 +113,17 @@ def _normal_frequency(xi) -> np.ndarray:
     return xi
 
 
+def _integer_scales(ks) -> np.ndarray:
+    """ks as a float array; ValueError naming a k that is not a finite
+    integer.  Integers past the 64-bit range, such as -10**20, are kept."""
+    ks = np.asarray(ks, dtype=float)
+    bad = ~np.isfinite(ks) | (ks != np.floor(ks))
+    if bad.any():
+        raise ValueError(f"scale k must be a finite integer, got "
+                         f"k = {float(ks[bad].ravel()[0])}")
+    return ks
+
+
 def _dyadic_logs(xi, ks):
     """(logs, top): log |xi_j| + k j log 2 for each k in ks (rows) and each
     nonzero xi_j (columns), the logs of the terms of dyadic_phase_size, and
@@ -165,12 +176,13 @@ def sigma_hat_dyadics(xi, ks, tol=1e-10) -> np.ndarray:
     on |sigma_hat - 1| is at most tol_k and below half an ulp of 1 the value
     is 1: within tol_k, and what quadrature would return up to rounding.  A
     shell whose edges or tolerance leave the normal double range, or whose
-    phase size (dyadic_phase_size) overflows, is nan.
+    phase size (dyadic_phase_size) overflows, is nan.  ValueError for a k
+    that is not a finite integer.
     """
     for t in np.ravel(tol).tolist():
         _require_tol(t)
     xi = np.asarray(xi, dtype=float)
-    ks = np.asarray(ks, dtype=float).reshape(-1)   # any integer k, however large
+    ks = _integer_scales(ks).reshape(-1)           # any integer k, however large
     if top_index(xi) == 0:
         return np.ones(len(ks), dtype=complex)
     return _shells(xi, ks, tol, rho(xi))           # rho rejects non-finite xi
@@ -287,9 +299,10 @@ def sigma_hat_upper_bound(xi, ks):
     """Certified bound on |sigma_hat(delta_{2^k} xi)| for each k in ks (a
     float for one k); always <= 1.
 
-    ValueError for a subnormal coordinate, where the bound rounds coarsely."""
+    ValueError for a subnormal coordinate, where the bound rounds coarsely,
+    and for a k that is not a finite integer."""
     xi = _normal_frequency(xi)
-    ks = np.asarray(ks, dtype=float)
+    ks = _integer_scales(ks)
     j_top = top_index(xi)
     if j_top == 0:
         return 1.0 if ks.ndim == 0 else np.ones(ks.shape)

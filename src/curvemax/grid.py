@@ -64,10 +64,13 @@ class GridFunction:
 
 
 def from_callable(fn, mins, maxs, shape) -> GridFunction:
-    """Sample fn over the closed box [mins, maxs] with the given point counts."""
+    """Sample fn over the closed box [mins, maxs] with the given point counts,
+    at least 2 per axis."""
     mins = tuple(float(v) for v in np.atleast_1d(mins))
     maxs = tuple(float(v) for v in np.atleast_1d(maxs))
     shape = tuple(int(n) for n in np.atleast_1d(shape))
+    if any(n < 2 for n in shape):
+        raise ValueError(f"shape needs at least 2 points per axis, got {shape}")
     steps = tuple((hi - lo) / (n - 1) for lo, hi, n in zip(mins, maxs, shape))
     axes = [lo + st * np.arange(n) for lo, st, n in zip(mins, steps, shape)]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -3,17 +3,18 @@
 All operators share one stencil, _stencil: the sum of the lattice translates
 f(x - p) over a point set, by multilinear interpolation of the zero-extended
 lattice, is one stencil over integer offsets, scattered densely onto its
-bounding box.  Curve and shell averages pass the curve points (t, t^2, ...,
-t^d) at midpoint nodes in t and apply the stencil exactly, one slice-add per
-nonzero offset (_translate_sum).  Poisson averages pass draws from the
-stable-mixture kernel, whose heavy-tailed draws spread the stencil over
-thousands of offsets (those that land off the grid drop out of it), and also
-need the exact sum of per-draw squares behind their standard error; they
-apply every stencil layer as one circular convolution by FFT
-(_translate_sums_fft), whose rounding sits many orders below their Monte
-Carlo error.  Each maximal function is a pointwise max of such averages over
-radii, dyadic shells or Poisson scales.  A general curve (gamma_1 t, ...,
-gamma_d t^d) goes through curve_measure.gamma_reduce.
+bounding box.  The zero-extended lattice itself is a zero-padded copy of the
+samples, read by plain slices.  Curve and shell averages pass the curve
+points (t, t^2, ..., t^d) at midpoint nodes in t and apply the stencil
+exactly, one add of a padded slice per nonzero offset (_translate_sum).
+Poisson averages pass draws from the stable-mixture kernel, whose
+heavy-tailed draws spread the stencil over thousands of offsets (those that
+land off the grid drop out of it), and also need the exact sum of per-draw
+squares behind their standard error; they apply every stencil layer as one
+circular convolution by FFT (_translate_sums_fft), whose rounding sits many
+orders below their Monte Carlo error.  Each maximal function is a pointwise
+max of such averages over radii, dyadic shells or Poisson scales.  A general
+curve (gamma_1 t, ..., gamma_d t^d) goes through curve_measure.gamma_reduce.
 
 Two comparison checks accompany the operators.  The sandwich check measures
 how far the dyadic and continuous maxima drift from the two-sided pointwise
@@ -26,6 +27,7 @@ Monte Carlo error estimates, never hidden.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from functools import lru_cache
 from itertools import product
@@ -109,20 +111,26 @@ def _stencil(f: GridFunction, pts: np.ndarray, squares: bool):
 def _translate_sum(f: GridFunction, pts: np.ndarray) -> np.ndarray:
     """sum_p f(x - p) over the rows p of pts, exactly as a stencil sum.
 
-    One slice-add per nonzero stencil offset, in lexicographic offset order:
-    every term is a nonnegative sample times a nonnegative weight, so the
-    curve and shell averages keep exact identities such as the mean of a
-    constant inside the box.
+    The samples are zero-padded once by the stencil box, and each nonzero
+    offset m adds its weight times one slice of the padded copy (f[i - m]
+    for every output i), in lexicographic offset order.  Every term is a
+    nonnegative sample times a nonnegative weight (+0.0 off the grid), so
+    the curve and shell averages keep exact identities such as the mean of
+    a constant inside the box.
     """
     samples = f.samples
     low, stencil = _stencil(f, pts, squares=False)
     weights = stencil[0].ravel()
     nonzero = np.flatnonzero(weights)
     offsets = np.stack(np.unravel_index(nonzero, stencil.shape[1:]), axis=-1) + low
+    # f[i - m] is padded[i - m + top], top the largest offset (or 0)
+    top = np.maximum(low + stencil.shape[1:] - 1, 0)
+    padded = np.pad(samples, list(zip(top, np.maximum(-low, 0))))
+    starts = top - offsets
     acc = np.zeros_like(samples)
-    for m, weight in zip(offsets.tolist(), weights[nonzero].tolist()):
-        dst, src = _offset_slices(m, samples.shape)
-        acc[dst] += weight * samples[src]
+    for start, stop, weight in zip(starts.tolist(), (starts + samples.shape).tolist(),
+                                   weights[nonzero].tolist()):
+        acc += weight * padded[tuple(map(slice, start, stop))]
     return acc
 
 
@@ -153,9 +161,12 @@ def _translate_sums_fft(f: GridFunction, pts: np.ndarray):
     spectrum = rfftn(stencil[0], s=size)
     spectrum *= rfftn(samples, s=size)
     spectrum_sq = np.zeros_like(spectrum)
+    padded = np.pad(samples, 1)     # f[u - delta] is padded[u - delta + 1]
     for layer, delta in zip(stencil[1:], deltas):
         product = rfftn(layer, s=size)
-        product *= rfftn(samples * _read(samples, delta), s=size)
+        shifted = padded[tuple(slice(1 - k, 1 - k + n)
+                               for k, n in zip(delta, samples.shape))]
+        product *= rfftn(samples * shifted, s=size)
         spectrum_sq += product
     # output i sits at (i - low) mod L: the stencil box starts at offset low
     window = np.ix_(*[(np.arange(n) - lo) % size_a
@@ -164,28 +175,13 @@ def _translate_sums_fft(f: GridFunction, pts: np.ndarray):
                  for x in (spectrum, spectrum_sq))
 
 
-def _offset_slices(m, shape):
-    """Slices (dst, src) with dst holding every i where i - m is on the grid
-    and src the matching i - m."""
-    dst = tuple(slice(max(k, 0), min(size, size + k)) for k, size in zip(m, shape))
-    src = tuple(slice(max(-k, 0), min(size, size - k)) for k, size in zip(m, shape))
-    return dst, src
-
-
-def _read(samples: np.ndarray, delta) -> np.ndarray:
-    """The array u -> samples[u - delta], zero where u - delta leaves the grid."""
-    out = np.zeros_like(samples)
-    dst, src = _offset_slices(delta, samples.shape)
-    out[dst] = samples[src]
-    return out
-
-
 def _average_over(f: GridFunction, t_samples: int, lo: float, hi: float,
                   mirror: bool = False) -> GridFunction:
     """Mean of f(x - curve(t)) over the midpoints t of t_samples cells of
     [lo, hi] (with mirror: of t_samples // 2 cells, and their negatives)."""
-    if t_samples < 64:
-        raise ValueError("need at least 64 quadrature nodes")
+    if not isinstance(t_samples, numbers.Integral) or t_samples < 64:
+        raise ValueError(f"t_samples must be an integer >= 64 quadrature "
+                         f"nodes, got {t_samples!r}")
     n = t_samples // 2 if mirror else t_samples
     ts = lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
     if mirror:
@@ -291,6 +287,8 @@ def sandwich_check(f: GridFunction, window: DyadicWindow,
     boundary layer genuinely breaks the first inequality, so those points
     say nothing about the operators themselves and are excluded.
     """
+    if not len(radii):
+        raise ValueError("need at least one radius")
     reach = max(float(np.max(np.asarray(radii, dtype=float))),
                 2.0 ** window.k_max)
     mask = _interior_mask(f, reach)

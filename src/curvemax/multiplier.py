@@ -40,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve_measure import (DyadicWindow, sigma_hat_upper_bound, top_index,
-                            _decay_prefactor, _dyadic_logs, _lipschitz_size,
-                            _normal_frequency, _phase_size, _shells)
+                            _decay_prefactor, _dyadic_logs, _integer_scales,
+                            _lipschitz_size, _normal_frequency, _phase_size,
+                            _shells)
 from .norms import _annulus_point, rho
 from .oscillatory import QuadratureError, _require_tol
 from .rng import family_stream
@@ -52,10 +53,12 @@ PRACTICAL_PANEL_CAP = 1 << 16
 
 def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
     """sigma_hat(delta_{2^k} xi) - exp(-2^k rho(xi)); QuadratureError where
-    only the certified envelope reaches."""
+    only the certified envelope reaches, ValueError for a k that is not a
+    finite integer."""
     _require_tol(tol)
+    _integer_scales(k)
     xi = np.asarray(xi, dtype=float)
-    z = complex(_entries(xi, (k,), float(rho(xi)), tol)[0][0])
+    z = complex(_entries(xi, (int(k),), float(rho(xi)), tol)[0][0])
     if cmath.isnan(z):
         raise QuadratureError(f"nu_hat beyond quadrature reach at k = {k}")
     return z

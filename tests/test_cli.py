@@ -230,6 +230,20 @@ def test_sigma_hat_row_where_the_envelope_is_unbounded(capsys, xi, k):
     assert row["certified_bound"] == 1.0
 
 
+def test_sigma_hat_values_where_the_engine_reaches(capsys):
+    # a gate of its own in the CLI left these rows with the bound alone
+    code, out, _ = run_cli(capsys, "sigma-hat", "--xi", "1,1",
+                           "--k-lo", "9", "--k-hi", "12")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["k"] for row in rows] == [9, 10, 11, 12]
+    for row in rows:
+        assert row["abs"] is not None and row["passed"]
+        assert row["abs"] <= row["certified_bound"] + row["quad_tol"]
+    assert rows[0]["abs"] == pytest.approx(6.07e-7, rel=1e-2)
+    assert rows[-1]["abs"] == pytest.approx(9.49e-9, rel=1e-2)
+
+
 def test_sigma_hat_range_stays_within_double_range(capsys):
     # two million scales ran on with no output and no error
     code, out, err = run_cli(capsys, "sigma-hat", "--xi", "1,1",

@@ -235,6 +235,41 @@ def test_entry_points_reject_non_finite_coordinates(name, bad):
             _ENTRY_POINTS[name](xi)
 
 
+def test_fractional_scale_is_rejected():
+    # m = k - k0 was truncated to an integer: 0.121 - 0.139i, where
+    # sigma_hat(delta_{2^0.5} xi) is -0.130 - 0.146i
+    with pytest.raises(ValueError, match="k = 0.5"):
+        sigma_hat_dyadics((0.7, 1.3), [0.5])
+
+
+def test_nan_scale_has_no_certified_bound():
+    # read a nan "certified bound" with a RuntimeWarning
+    with pytest.raises(ValueError, match="k = nan"):
+        sigma_hat_upper_bound((0.7, 1.3), [math.nan])
+
+
+def test_infinite_scale_is_rejected():
+    # read 1 at k = -inf
+    for k in (-math.inf, math.inf):
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            sigma_hat_dyadics((0.7, 1.3), [0, k])
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            sigma_hat_upper_bound((0.7, 1.3), k)
+
+
+def test_fractional_scale_of_nu_hat_is_rejected():
+    # ended in numpy's ldexp TypeError
+    with pytest.raises(ValueError, match="k = 0.5"):
+        nu_hat((0.7, 1.3), 0.5)
+
+
+def test_scales_past_the_64_bit_integers_stay_accepted():
+    ks = range(-10**20, -10**20 + 3)
+    assert sigma_hat_dyadics((1.0, 1.0), ks).tolist() == [1.0] * 3
+    assert sigma_hat_upper_bound((1.0, 1.0), ks).tolist() == [1.0] * 3
+    assert sigma_hat_upper_bound((1.0, 1.0), -10**20) == 1.0
+
+
 def test_dyadic_window_iterates_inclusive():
     win = DyadicWindow(-2, 1)
     assert list(win.ks()) == [-2, -1, 0, 1]

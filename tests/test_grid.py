@@ -35,6 +35,14 @@ def test_validation():
         from_callable(lambda p: np.ones(len(p)), (0,) * 4, (1,) * 4, (3,) * 4)
 
 
+@pytest.mark.parametrize("shape", [(1,), (0,), (5, 1)])
+def test_from_callable_needs_two_points_per_axis(shape):
+    # (1,) ended in a ZeroDivisionError forming the step
+    d = len(shape)
+    with pytest.raises(ValueError, match="shape"):
+        from_callable(lambda p: np.ones(len(p)), (0.0,) * d, (1.0,) * d, shape)
+
+
 @pytest.mark.parametrize("mins, steps", [
     ((0.0,), (np.nan,)),   # gave an all-zero curve average
     ((0.0,), (np.inf,)),   # gave an all-ones curve average

@@ -55,6 +55,22 @@ def test_input_validation():
         poisson_max(f, [])
 
 
+@pytest.mark.parametrize("t", [64.5, 64.0, 32, math.nan])
+def test_averages_need_an_integer_of_at_least_64_nodes(t):
+    # 64.5 built a 65-node rule whose last node sat at the interval end
+    f = constant_grid()
+    with pytest.raises(ValueError, match="t_samples"):
+        curve_average(f, 0.5, t)
+    with pytest.raises(ValueError, match="t_samples"):
+        shell_average(f, -1, t)
+
+
+def test_sandwich_check_needs_a_radius():
+    # ended in numpy's "zero-size array to reduction operation maximum"
+    with pytest.raises(ValueError, match="at least one radius"):
+        sandwich_check(constant_grid(), WINDOW, [])
+
+
 @pytest.mark.parametrize("mc", [0, 1, -5])
 def test_split_check_needs_100_monte_carlo_draws(mc):
     # one draw reported passed=True, 0 a nan report, -5 numpy's
@@ -146,6 +162,31 @@ def test_averages_are_means_of_translates_over_midpoint_nodes():
         np.testing.assert_allclose(avg.samples[mask], ref[mask], rtol=1e-13)
 
 
+def _offset_slices(m, shape):
+    """Slices (dst, src) with dst holding every i where i - m is on the grid
+    and src the matching i - m."""
+    dst = tuple(slice(max(k, 0), min(size, size + k)) for k, size in zip(m, shape))
+    src = tuple(slice(max(-k, 0), min(size, size - k)) for k, size in zip(m, shape))
+    return dst, src
+
+
+def clipped_translate_sum(f: GridFunction, pts: np.ndarray) -> np.ndarray:
+    """The stencil sum with each offset's reads clipped to the grid, one
+    slice pair per nonzero offset in lexicographic order: the reference that
+    _translate_sum's reads of a zero-padded copy must equal bit for bit (an
+    off-grid read adds w * 0 = +0.0 to a nonnegative sum)."""
+    samples = f.samples
+    low, stencil = maxop._stencil(f, pts, squares=False)
+    weights = stencil[0].ravel()
+    nonzero = np.flatnonzero(weights)
+    offsets = np.stack(np.unravel_index(nonzero, stencil.shape[1:]), axis=-1) + low
+    acc = np.zeros_like(samples)
+    for m, weight in zip(offsets.tolist(), weights[nonzero].tolist()):
+        dst, src = _offset_slices(m, samples.shape)
+        acc[dst] += weight * samples[src]
+    return acc
+
+
 @pytest.mark.parametrize("d, n", [(1, 40), (2, 17), (3, 9)])
 def test_translate_sum_matches_per_translate_sums(d, n):
     # the whole grid, boundary band included: both stencil paths read the
@@ -164,6 +205,7 @@ def test_translate_sum_matches_per_translate_sums(d, n):
     translates = np.array([f.shifted(p) for p in pts])
     ref, ref_sq = translates.sum(axis=0), (translates**2).sum(axis=0)
     exact = maxop._translate_sum(f, pts)
+    np.testing.assert_array_equal(exact, clipped_translate_sum(f, pts))
     np.testing.assert_allclose(exact, ref, rtol=1e-13, atol=1e-13 * ref.max())
     acc, acc_sq = maxop._translate_sums_fft(f, pts)
     np.testing.assert_allclose(acc, ref, rtol=1e-13, atol=1e-13 * ref.max())
@@ -229,6 +271,8 @@ def test_fft_path_at_the_edges_of_its_circular_layout(d, n):
                      samples=rng.uniform(0.0, 2.0, (n,) * d))
     for name, pts in fft_path_families(d, n, np.array(f.steps), rng).items():
         translates = np.array([f.shifted(p) for p in pts])
+        np.testing.assert_array_equal(maxop._translate_sum(f, pts),
+                                      clipped_translate_sum(f, pts), err_msg=name)
         acc, acc_sq = maxop._translate_sums_fft(f, pts)
         for power, got in ((1, acc), (2, acc_sq)):
             ref = (translates**power).sum(axis=0)
@@ -249,11 +293,14 @@ def test_translate_sum_of_whole_cell_shifts_and_of_no_points(d):
     cells = rng.integers(-7, 8, (30, d))
     translates = np.array([f.shifted(0.25 * c) for c in cells])
     acc = maxop._translate_sum(f, 0.25 * cells)
+    np.testing.assert_array_equal(acc, clipped_translate_sum(f, 0.25 * cells))
     np.testing.assert_allclose(acc, translates.sum(axis=0), rtol=1e-14)
     _, acc_sq = maxop._translate_sums_fft(f, 0.25 * cells)
     np.testing.assert_allclose(acc_sq, (translates**2).sum(axis=0), rtol=1e-14)
     none = np.empty((0, d))
     np.testing.assert_array_equal(maxop._translate_sum(f, none), 0.0)
+    np.testing.assert_array_equal(maxop._translate_sum(f, none),
+                                  clipped_translate_sum(f, none))
     for empty in maxop._translate_sums_fft(f, none):
         np.testing.assert_array_equal(empty, 0.0)
 

@@ -145,7 +145,7 @@ def _phase_size(logs, top):
 def dyadic_phase_size(xi, ks):
     """sum_j |xi_j| 2^{kj} for each k in ks (a float for one k), an upper
     proxy for total phase variation / 4 pi; inf where a term overflows.
-    Callers use it to decide whether quadrature at scale k is affordable."""
+    The profile's quadrature gate reads it (as _phase_size of the logs)."""
     out = _phase_size(*_dyadic_logs(xi, ks))
     return float(out) if out.ndim == 0 else out
 

@@ -215,8 +215,8 @@ def test_phase_size_is_one_call_over_the_scales():
             assert name not in repeated, (mod, name)
         for name in (*gates, "sigma_hat_upper_bound"):
             assert name in _calls(modules[mod]), (mod, name)
-    assert "dyadic_phase_size" not in _calls(modules["multiplier"])
-    assert "dyadic_phase_size" not in _calls(modules["cli"])
+    for mod in ("multiplier", "cli"):
+        assert "dyadic_phase_size" not in _calls(modules[mod]), mod
 
 
 def test_growth_experiment_is_defined_in_acceptance():

@@ -32,7 +32,7 @@ from .maxop import sandwich_check, split_check
 from .multiplier import g_profile, induction_diagnostics, nu_hat, sup_search
 from .norms import (_annulus_point, ball_volume, dilate, make_space,
                     polar_integration_check, quasi_triangle_ratio, rho)
-from .oscillatory import PhasePoly, vdc_bound_check, vinogradov_check
+from .oscillatory import PhasePoly, _cis, vdc_bound_check, vinogradov_check
 from .rng import family_stream
 from .stable_poisson import (gram_psd_check, sample_kernel_batch,
                              semigroup_check, stable_density_1d,
@@ -200,8 +200,7 @@ def kernel_certification(seed: int, gram_dims, gram_sets: int, cf_dims,
         sq_c = np.zeros(cf_freqs)
         sq_s = np.zeros(cf_freqs)
         for start in range(0, cf_samples, 200_000):
-            phase = pts[start:start + 200_000] @ w
-            c, s = np.cos(phase), np.sin(phase)
+            c, s = _cis(pts[start:start + 200_000] @ w)
             sum_c += c.sum(axis=0)
             sum_s += s.sum(axis=0)
             sq_c += (c * c).sum(axis=0)

@@ -25,7 +25,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .acceptance import jsonable, preset, run, run_all
-from .curve_measure import sigma_hat_dyadics, sigma_hat_upper_bound
+from .curve_measure import (_integer_scales, sigma_hat_dyadics,
+                            sigma_hat_upper_bound)
 from .norms import MAX_DIMENSION, rho
 from .rng import SEED_DERIVATION
 
@@ -254,6 +255,10 @@ def cmd_sigma_hat(ns, cfg, seed, quick):
         raise ConfigError("--xi must be nonzero")
     k_lo = _resolve(ns, cfg, "k_lo", default=-6)
     k_hi = _resolve(ns, cfg, "k_hi", default=6)
+    try:
+        _integer_scales((k_lo, k_hi))       # a k past the double range
+    except ValueError as exc:
+        raise ConfigError(f"--k-lo/--k-hi: {exc}")
     if k_lo > k_hi:
         raise ConfigError(f"k range [{k_lo}, {k_hi}] is empty")
     if k_hi - k_lo + 1 > MAX_SCALES:

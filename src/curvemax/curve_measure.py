@@ -115,8 +115,17 @@ def _normal_frequency(xi) -> np.ndarray:
 
 def _integer_scales(ks) -> np.ndarray:
     """ks as a float array; ValueError naming a k that is not a finite
-    integer.  Integers past the 64-bit range, such as -10**20, are kept."""
-    ks = np.asarray(ks, dtype=float)
+    integer.  Integers past the 64-bit range, such as -10**20, are kept;
+    one past the double range, such as 10**400, is a ValueError."""
+    try:
+        ks = np.asarray(ks, dtype=float)
+    except OverflowError:
+        big = next(k for k in np.ravel(np.asarray(ks, dtype=object)).tolist()
+                   if abs(k) > sys.float_info.max)
+        digits = str(abs(big))
+        raise ValueError(f"scale k must be a finite integer, got k = "
+                         f"{'-' if big < 0 else ''}{digits[0]}.{digits[1:4]}e+"
+                         f"{len(digits) - 1}, past the double range") from None
     bad = ~np.isfinite(ks) | (ks != np.floor(ks))
     if bad.any():
         raise ValueError(f"scale k must be a finite integer, got "

@@ -58,7 +58,10 @@ def nu_hat(xi, k: int = 0, tol: float = 1e-10) -> complex:
     _require_tol(tol)
     _integer_scales(k)
     xi = np.asarray(xi, dtype=float)
-    z = complex(_entries(xi, (int(k),), float(rho(xi)), tol)[0][0])
+    # past the 64-bit integers every 2^k-scaled term has long over- or
+    # underflowed, so such a k gives the entry at the nearest 64-bit k
+    k64 = min(max(int(k), -2**63), 2**63 - 1)
+    z = complex(_entries(xi, (k64,), float(rho(xi)), tol)[0][0])
     if cmath.isnan(z):
         raise QuadratureError(f"nu_hat beyond quadrature reach at k = {k}")
     return z

@@ -15,10 +15,18 @@ final dilation by t; that bridge is what makes the d = 1 kernel density equal
 
 A batch of kernel draws is one (n, d) buffer: each coordinate is written into
 it, and the division by 2 pi and the dilation by t happen in place, with
-dilate's arithmetic.  The level-1 subordinator (gamma = 1/2, present for every
-d >= 2) takes the Chambers-Mallows-Stuck form's closed case
-T = 1 / (4 W cos(U/2)^2): one cosine per draw, the same U and W, and the
-general form's value within a few ulps.
+dilate's arithmetic.  Every sine and cosine of the Chambers-Mallows-Stuck
+forms comes from one tangent, sin(theta) = 2t / (1 + t^2) with
+t = tan(theta/2) (oscillatory._sin), numpy's vectorised tan being several
+times faster than its sin and cos.  A cosine that nears 0 as U nears +-pi/2 is
+sin(pi/2 - |U|), with pi/2 in two parts so that it keeps its relative
+accuracy (_cos); (1 - t^2) / (1 + t^2) would lose it.  Each draw is built in
+place, in the arrays of U and W and two more of their size.  The level-1
+subordinator (gamma = 1/2, present for every d >= 2) takes the form's
+closed case T = (1 + tan(U/2)^2) / (4 W): one tangent per draw, the same U
+and W, and the general form's value within a few ulps.  Against the
+formulas at 160 bits the draws are as accurate as the libm forms they
+replaced, to 2 ulps (tests/test_stable_poisson.py).
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 from scipy import integrate
 
 from .norms import make_space, rho, _blocks, _dilate
-from .oscillatory import _require_tol
+from .oscillatory import _cis, _require_tol, _sin
 from .rng import STREAMS, stream
 
 
@@ -62,21 +70,51 @@ def stable_density_1d(beta: float, x: float, tol: float = 1e-10) -> float:
     return 2.0 * val
 
 
+# pi/2 in two parts, hi + lo: pi/2 - |u| = (hi - |u|) + lo keeps its
+# relative accuracy as |u| nears pi/2, where hi - |u| is exact
+_HALF_PI_HI = 0.5 * math.pi
+_HALF_PI_LO = 6.123233995736766e-17
+
+
+def _cos(theta, out, scratch):
+    """cos(theta) for |theta| <= pi/2, written to out: sin(pi/2 - |theta|),
+    with pi/2 in two parts, so that it keeps its relative accuracy where
+    cos(theta) is near 0; theta may be out itself."""
+    np.abs(theta, out=out)
+    np.subtract(_HALF_PI_HI, out, out=out)
+    out += _HALF_PI_LO
+    return _sin(out, scratch)
+
+
 def sample_symmetric_stable(beta: float, rng: np.random.Generator, size=None):
     """Symmetric stable draw(s) with E exp(iuX) = exp(-|u|^beta), beta in [1, 2].
 
     Transform method: a uniform angle and an exponential mixed through the
-    classic trigonometric map.  beta = 1 degenerates to tan(U) (unit Cauchy)
-    and beta = 2 to a centered normal with variance 2.
+    classic trigonometric map,
+        sin(beta U) / cos(U)^{1/beta} (cos((1 - beta) U) / W)^{(1-beta)/beta}.
+    beta = 1 degenerates to tan(U) (unit Cauchy) and beta = 2 to a centered
+    normal with variance 2.  Each sine and cosine comes from one tangent
+    (_sin, _cos), and the draw is built in the arrays of U and W and two
+    more of their size.
     """
     if not 1.0 <= beta <= 2.0:
         raise ValueError("beta must lie in [1, 2]")
-    u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=size)
+    u = np.asarray(rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=size))
     if beta == 1.0:
-        return np.tan(u)
-    w = rng.standard_exponential(size=size)
-    return (np.sin(beta * u) / np.cos(u) ** (1.0 / beta)
-            * (np.cos((1.0 - beta) * u) / w) ** ((1.0 - beta) / beta))
+        return np.tan(u, out=u)[()]
+    w = np.asarray(rng.standard_exponential(size=size))
+    c, scratch = np.empty_like(u), np.empty_like(u)
+    np.multiply(u, 1.0 - beta, out=c)
+    _cos(c, c, scratch)
+    np.divide(c, w, out=w)
+    np.power(w, (1.0 - beta) / beta, out=w)
+    _cos(u, c, scratch)
+    np.power(c, 1.0 / beta, out=c)
+    u *= beta
+    _sin(u, scratch)
+    u /= c
+    u *= w
+    return u[()]
 
 
 def sample_positive_stable(gamma: float, rng: np.random.Generator, size=None):
@@ -85,23 +123,35 @@ def sample_positive_stable(gamma: float, rng: np.random.Generator, size=None):
     Uses the product representation T = (a(U)/W)^{(1-gamma)/gamma} with
     a(u) = sin(gamma u)^{gamma/(1-gamma)} sin((1-gamma) u) / sin(u)^{1/(1-gamma)}
     for U uniform on (0, pi) and W unit exponential (Chambers, Mallows and
-    Stuck).  At gamma = 1/2, the level-1 subordinator of every kernel with
-    d >= 2, a(u) = sin(u/2)^2 / sin(u)^2 = 1 / (4 cos(u/2)^2) and the outer
-    power is 1, so T = 1 / (4 W cos(U/2)^2) from the same U and W: one
-    cosine in place of three sines and three powers, equal to the general
-    form within a few ulps.
+    Stuck), each sine from one tangent (_sin), the draw built in the arrays
+    of U and W and two more of their size.  At gamma = 1/2, the level-1
+    subordinator of every kernel with d >= 2, a(u) = sin(u/2)^2 / sin(u)^2
+    = (1 + tan(u/2)^2) / 4 and the outer power is 1, so
+    T = (1 + tan(U/2)^2) / (4 W) from the same U and W: one tangent in place
+    of three sines and three powers.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    u = rng.uniform(0.0, math.pi, size=size)
-    w = rng.standard_exponential(size=size)
+    u = np.asarray(rng.uniform(0.0, math.pi, size=size))
+    w = np.asarray(rng.standard_exponential(size=size))
     if gamma == 0.5:
-        c = np.cos(0.5 * u)
-        return 0.25 / (w * c * c)
-    a = (np.sin(gamma * u) ** (gamma / (1.0 - gamma))
-         * np.sin((1.0 - gamma) * u)
-         / np.sin(u) ** (1.0 / (1.0 - gamma)))
-    return (a / w) ** ((1.0 - gamma) / gamma)
+        u *= 0.5
+        np.tan(u, out=u)
+        u *= u
+        u += 1.0
+        u /= w
+        u *= 0.25
+        return u[()]
+    s, scratch = np.empty_like(u), np.empty_like(u)
+    np.multiply(u, gamma, out=s)
+    np.power(_sin(s, scratch), gamma / (1.0 - gamma), out=s)
+    np.divide(s, w, out=w)
+    np.multiply(u, 1.0 - gamma, out=s)
+    w *= _sin(s, scratch)
+    np.power(_sin(u, s), 1.0 / (1.0 - gamma), out=u)
+    w /= u
+    np.power(w, (1.0 - gamma) / gamma, out=w)
+    return w[()]
 
 
 def sample_kernel_batch(space, t: float, n: int,
@@ -109,7 +159,8 @@ def sample_kernel_batch(space, t: float, n: int,
     """n kernel draws at scale t: points (n, d) plus per-level subordinators.
 
     The points are one buffer: each coordinate is written into it, then it
-    is divided by 2 pi and dilated by t in place.
+    is divided by 2 pi and dilated by t in place.  Besides the buffer and
+    the subordinators, the sampler holds one draw's four arrays of n.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"scale must be positive and finite, got {t}")
@@ -124,8 +175,10 @@ def sample_kernel_batch(space, t: float, n: int,
         for j in js.astype(int).tolist():
             y = sample_symmetric_stable(2**level / j, rng, size=n)
             if level:
-                y = y * tsub ** (j / 2**level)
+                # tsub ** 1.0 is tsub, so j = 2^level takes it as it is
+                y *= tsub if j == 2**level else tsub ** (j / 2**level)
             x[:, j - 1] = y
+            del y               # not held through the next draw
     x /= 2.0 * math.pi
     return _dilate(x, t, out=x), subs
 
@@ -196,9 +249,9 @@ def semigroup_check(s: float, t: float, xi, n_samples: int = 200_000,
     xs, _ = sample_kernel_batch(space, s, n_samples, rng)
     ys, _ = sample_kernel_batch(space, t, n_samples, rng)
     z = xs + ys
-    phases = np.exp(-2j * math.pi * (z @ xi.T))
-    emp = phases.mean(axis=0)
-    se = np.sqrt((phases.real.var(axis=0) + phases.imag.var(axis=0)) / n_samples)
+    re, im = _cis(-2.0 * math.pi * (z @ xi.T))
+    emp = re.mean(axis=0) + 1j * im.mean(axis=0)
+    se = np.sqrt((re.var(axis=0) + im.var(axis=0)) / n_samples)
     gap = np.abs(emp - np.exp(-(s + t) * r))
     worst = int(np.argmax(gap - 3.0 * se))
     passed = bool(fourier_gap <= 5e-15 and np.all(gap <= 3.0 * se))

@@ -256,6 +256,19 @@ def test_sigma_hat_range_stays_within_double_range(capsys):
     assert len(json.loads(out)["rows"]) == cli.MAX_SCALES == 4144
 
 
+@pytest.mark.parametrize("k_lo, k_hi", [(10**400, 10**400), (-10**400, 0)],
+                         ids=["1e400", "-1e400..0"])
+def test_sigma_hat_scale_past_the_double_range_exits_2(capsys, k_lo, k_hi):
+    # ended in an OverflowError traceback from the conversion to floats; the
+    # second range printed its 401-digit k_lo in a span message
+    code, out, err = run_cli(capsys, "sigma-hat", "--xi", "1,1",
+                             "--k-lo", str(k_lo), "--k-hi", str(k_hi))
+    assert code == 2 and out == ""
+    sign = "-" if k_lo < 0 else ""
+    assert f"k = {sign}1.000e+400, past the double range" in err
+    assert len(err) < 200
+
+
 def test_json_meta_carries_resolved_parameters(capsys):
     _, out, _ = run_cli(capsys, "multiplier-sup", "--d", "2", "--quick",
                         "--budget", "60")

@@ -11,6 +11,7 @@ from curvemax.curve_measure import (CurveCoeffs, DyadicWindow,
                                     top_index, _decay_prefactor)
 from curvemax.multiplier import g_profile, induction_diagnostics, nu_hat
 from curvemax.norms import dilate, rho
+from curvemax.oscillatory import QuadratureError
 
 
 def test_zero_frequency_is_total_mass():
@@ -268,6 +269,24 @@ def test_scales_past_the_64_bit_integers_stay_accepted():
     assert sigma_hat_dyadics((1.0, 1.0), ks).tolist() == [1.0] * 3
     assert sigma_hat_upper_bound((1.0, 1.0), ks).tolist() == [1.0] * 3
     assert sigma_hat_upper_bound((1.0, 1.0), -10**20) == 1.0
+
+
+def test_nu_hat_past_the_64_bit_integers_is_its_value_at_a_very_negative_k():
+    # ended in numpy's ldexp TypeError on an object array of the Python int
+    for xi in ((0.7, 1.3), (0.7,), (0.2, -0.4, 1.5)):
+        assert nu_hat(xi, -10**20) == nu_hat(xi, -5000) == 0.0
+        assert nu_hat(xi, -10.0**20) == nu_hat(xi, -5000)
+    with pytest.raises(QuadratureError, match="k = 100000000000000000000"):
+        nu_hat((0.7, 1.3), 10**20)
+
+
+@pytest.mark.parametrize("k", [10**400, -10**400], ids=["1e400", "-1e400"])
+def test_scale_past_the_double_range_is_named(k):
+    # the conversion to floats ended in an OverflowError
+    sign = "-" if k < 0 else ""
+    for f in (sigma_hat_dyadics, sigma_hat_upper_bound, nu_hat):
+        with pytest.raises(ValueError, match=f"k = {sign}1.000e\\+400, past"):
+            f((0.7, 1.3), [0, k] if f is not nu_hat else k)
 
 
 def test_dyadic_window_iterates_inclusive():

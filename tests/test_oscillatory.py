@@ -460,3 +460,47 @@ def test_a_missed_root_makes_a_piece_fail_never_pass(monkeypatch):
     assert not [(a, b) for _, a, b, _, _ in pieces.taken
                 if ((a <= roots) & (roots <= b)).any()]
     assert abs(val - _mp_integral(p, -1.5, 1.5)) <= tol
+
+
+def test_cis_is_within_two_eps_of_the_exponential():
+    # the panels' exponentials come from one tangent each; against 160-bit
+    # mpmath they stay within 2 eps of e^{ix} (numpy's exp of an imaginary
+    # argument reaches 0.5 eps), near the multiples of pi/2 too, where
+    # 1 - t^2 cancels or t is large
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(0)
+    quarters = 0.5 * np.pi * np.arange(-8, 9)[:, None]
+    x = np.concatenate([
+        rng.uniform(-4.0, 4.0, 2000),
+        rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-3.0, 12.0, 2000),
+        (quarters + rng.uniform(-1e-6, 1e-6, (17, 60))).ravel(),
+        [0.0, -0.0, 1e-300, 1e12, -1e12, np.pi, -np.pi]])
+    c, s = oscillatory._cis(x)
+    with mp.workprec(160):
+        err = max(abs(mp.mpc(cr, sr) - mp.expj(mp.mpf(xr)))
+                  for xr, cr, sr in zip(x.tolist(), c.tolist(), s.tolist()))
+    assert err <= 2.0 * np.finfo(float).eps
+    assert oscillatory._cis(x[:10].reshape(2, 5)).shape == (2, 2, 5)
+
+
+def test_rounding_only_estimates_stay_below_half_the_floor():
+    # on panels with under 1e-4 of phase variation the K15 and G7 errors are
+    # far below rounding, so |K15 - G7| is rounding alone; _rounding_floor
+    # stops refinement only above twice that
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(12):
+        deg = int(rng.integers(1, 17))
+        coeffs = (rng.choice([-1.0, 1.0], deg)
+                  * 10.0 ** rng.uniform(-1.0, 3.0, deg))
+        p = PhasePoly(tuple(coeffs), constant=rng.uniform(-10.0, 10.0))
+        c = rng.uniform(-1.5, 1.5, 20_000)
+        slope = np.abs(oscillatory._horner(
+            p.full_coeffs()[1:] * np.arange(1.0, deg + 1), c))
+        half = 0.5e-4 / np.maximum(slope, 1.0) * rng.uniform(0.05, 1.0, len(c))
+        lo, hi = c - half, c + half
+        flat = np.abs(p(hi) - p(lo)) < 1e-4
+        _, errs = oscillatory._kronrod(p, lo[flat], hi[flat])
+        ratio = errs / oscillatory._rounding_floor(p, lo[flat], hi[flat])
+        worst = max(worst, ratio.max())
+    assert worst < 0.5

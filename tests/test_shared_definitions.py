@@ -219,6 +219,41 @@ def test_phase_size_is_one_call_over_the_scales():
         assert "dyadic_phase_size" not in _calls(modules[mod]), mod
 
 
+def _libm_calls(node) -> list:
+    """The np.sin and np.cos calls under node, and its np.exp calls whose
+    argument holds an imaginary constant."""
+    def imaginary(call):
+        return any(isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                   for arg in call.args for c in ast.walk(arg))
+    return [name for n in ast.walk(node) if isinstance(n, ast.Call)
+            for name in [_callee(n)]
+            if name in ("sin", "cos") or (name == "exp" and imaginary(n))]
+
+
+def test_sampled_and_panel_exponentials_come_from_tangents():
+    # the kernel draws, the Kronrod panels and criterion 3's characteristic
+    # functions take every sine, cosine and e^{i theta} from one tangent
+    # (oscillatory._sin and _cis, stable_poisson._cos): numpy's vectorised
+    # tan runs several times faster than its sin, cos and complex exp
+    modules = _modules()
+    for mod, names in (("stable_poisson", ("_cos", "sample_symmetric_stable",
+                                           "sample_positive_stable",
+                                           "sample_kernel_batch",
+                                           "semigroup_check")),
+                       ("oscillatory", ("_sin", "_cis", "_kronrod",
+                                        "osc_integrals")),
+                       ("acceptance", ("kernel_certification",))):
+        functions = _functions(modules[mod])
+        for name in names:
+            assert not _libm_calls(functions[name]), (mod, name)
+    # _expand keeps np.exp: its certified end-term rounding bound counts the
+    # exponential as one rounding, and numpy documents no error bound for
+    # its vectorised tan; osc_integral's other is a constant phase's closed
+    # form
+    assert {name for name, node in _functions(modules["oscillatory"]).items()
+            if _libm_calls(node)} == {"_expand", "osc_integral"}
+
+
 def test_growth_experiment_is_defined_in_acceptance():
     # criterion 7 runs the sup searches and fits the slope; multiplier only
     # searches one dimension

@@ -67,9 +67,9 @@ def test_positive_sampler_laplace_transform(gamma):
 
 
 def test_level_one_draws_are_the_general_form_within_8_ulps():
-    # at gamma = 1/2 the sampler takes 1 / (4 W cos(U/2)^2), one cosine; the
-    # general form, evaluated here on the same U and W, differs only by
-    # rounding
+    # at gamma = 1/2 the sampler takes (1 + tan(U/2)^2) / (4 W), one
+    # tangent; the general form, evaluated here with libm sines on the same
+    # U and W, differs only by rounding
     n = 200_000
     got = sample_positive_stable(0.5, stream(5, 3), size=n)
     rng = stream(5, 3)
@@ -127,14 +127,16 @@ def test_kernel_draws_scale_by_dilation(t):
         assert pts.tobytes() == dilate(unit, t).tobytes()
 
 
-@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("d", [4, 8, 16])
 def test_kernel_batch_peak_is_one_buffer_and_a_few_draws(d):
     # the points are one (n, d) buffer, divided by 2 pi and dilated in place;
     # besides it the sampler holds the subordinators it returns (one per
-    # level, at most 4 here) and the temporaries of one coordinate's draw.
+    # level) and the four arrays of one coordinate's draw, built in place.
     # Three (n, d) arrays (x, x / 2 pi, the dilation) peaked at 28 and 53
-    # arrays of n doubles.
+    # arrays of n doubles at d = 8 and 16, and six temporaries per draw at
+    # 12, 17 and 26 at d = 4, 8 and 16.
     space = make_space(d)
+    levels = sum(1 for _, _, level, _ in _blocks(d) if level)
     n = 50_000
     sample_kernel_batch(space, 1.0, 10, stream(9, 3))   # fill lazy caches
     tracemalloc.start()
@@ -143,7 +145,104 @@ def test_kernel_batch_peak_is_one_buffer_and_a_few_draws(d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n * (d + 12)
+    assert peak <= 8 * n * (d + levels + 4) + 8192
+
+
+class _Fixed:
+    """A stand-in generator whose uniform and exponential draws are given."""
+
+    def __init__(self, u, w):
+        self.u, self.w = u, w
+
+    def uniform(self, low, high, size=None):
+        assert np.all((low <= self.u) & (self.u < high))
+        return self.u.copy()
+
+    def standard_exponential(self, size=None):
+        return self.w.copy()
+
+
+def _old_symmetric(beta, u, w):
+    """The libm form that the tangent-based sampler replaced."""
+    return (np.sin(beta * u) / np.cos(u) ** (1.0 / beta)
+            * (np.cos((1.0 - beta) * u) / w) ** ((1.0 - beta) / beta))
+
+
+def _old_positive(gamma, u, w):
+    """The libm forms that the tangent-based sampler replaced."""
+    if gamma == 0.5:
+        c = np.cos(0.5 * u)
+        return 0.25 / (w * c * c)
+    a = (np.sin(gamma * u) ** (gamma / (1.0 - gamma))
+         * np.sin((1.0 - gamma) * u) / np.sin(u) ** (1.0 / (1.0 - gamma)))
+    return (a / w) ** ((1.0 - gamma) / gamma)
+
+
+def _ulps(got, want):
+    """|got - want| in units of the last place of got, want at 160 bits."""
+    mp = pytest.importorskip("mpmath").mp
+    return np.array([float(abs(mp.mpf(g) - r) / np.spacing(abs(g)))
+                     for g, r in zip(got.tolist(), want)])
+
+
+@pytest.mark.parametrize("law, param", [("symmetric", 4 / 3),
+                                        ("symmetric", 1.6),
+                                        ("positive", 0.5),
+                                        ("positive", 0.25),
+                                        ("positive", 0.125)])
+def test_tangent_forms_are_no_less_accurate_than_libm(law, param):
+    # each sine and cosine now comes from one tangent; on the same U and W,
+    # the uniforms next to the interval ends included, the draws' largest
+    # error against the formula at 160 bits is within 2 ulps of that of the
+    # libm forms.  Most of either is the rounding of the exponents and of
+    # beta U or gamma U, which both share, raised through the powers
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(0)
+    k = np.arange(1, 41)
+    if law == "symmetric":
+        half = 0.5 * math.pi
+        u = np.concatenate([rng.uniform(-half, half, 1000), [-half],
+                            -half + k * np.spacing(half),
+                            half - k * np.spacing(half)])
+    else:
+        u = np.concatenate([rng.uniform(0.0, math.pi, 1000), [0.5 * math.pi],
+                            math.pi * k * 2.0**-53,
+                            math.pi * (1.0 - k * 2.0**-53)])
+    w = rng.standard_exponential(len(u))
+    w[::37], w[1::37] = 2.0**-53, 40.0
+    with mp.workprec(160):
+        p = mp.mpf(param)
+        us, ws = map(mp.mpf, u.tolist()), map(mp.mpf, w.tolist())
+        if law == "symmetric":
+            new = sample_symmetric_stable(param, _Fixed(u, w))
+            old = _old_symmetric(param, u, w)
+            want = [mp.sin(p * a) / mp.cos(a) ** (1 / p)
+                    * (mp.cos((1 - p) * a) / b) ** ((1 - p) / p)
+                    for a, b in zip(us, ws)]
+        else:
+            new = sample_positive_stable(param, _Fixed(u, w))
+            old = _old_positive(param, u, w)
+            want = [(mp.sin(p * a) ** (p / (1 - p)) * mp.sin((1 - p) * a)
+                     / mp.sin(a) ** (1 / (1 - p)) / b) ** ((1 - p) / p)
+                    for a, b in zip(us, ws)]
+        assert np.all(np.isfinite(new)) and np.all(new != 0.0)
+        assert _ulps(new, want).max() <= _ulps(old, want).max() + 2.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 4 / 3])
+def test_symmetric_scalar_draw_is_the_first_of_a_batch(beta):
+    one = sample_symmetric_stable(beta, stream(4, 3))
+    assert isinstance(one, np.float64)
+    assert one == sample_symmetric_stable(beta, stream(4, 3), size=1)[0]
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.25])
+def test_positive_scalar_draw_is_the_first_of_a_batch(gamma):
+    one = sample_positive_stable(gamma, stream(4, 3))
+    assert isinstance(one, np.float64)
+    assert one == sample_positive_stable(gamma, stream(4, 3), size=1)[0]
+    batch = sample_positive_stable(gamma, stream(4, 3), size=(2, 3))
+    assert batch.shape == (2, 3)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, "10"])

@@ -229,20 +229,15 @@ def test_tangent_forms_are_no_less_accurate_than_libm(law, param):
         assert _ulps(new, want).max() <= _ulps(old, want).max() + 2.0
 
 
-@pytest.mark.parametrize("beta", [1.0, 4 / 3])
-def test_symmetric_scalar_draw_is_the_first_of_a_batch(beta):
-    one = sample_symmetric_stable(beta, stream(4, 3))
+@pytest.mark.parametrize("sampler, param", [
+    (sample_symmetric_stable, 1.0), (sample_symmetric_stable, 4 / 3),
+    (sample_positive_stable, 0.5), (sample_positive_stable, 0.25)])
+def test_scalar_draw_is_the_first_of_a_batch(sampler, param):
+    # the draws are built in place, in arrays; size=None still gives a scalar
+    one = sampler(param, stream(4, 3))
     assert isinstance(one, np.float64)
-    assert one == sample_symmetric_stable(beta, stream(4, 3), size=1)[0]
-
-
-@pytest.mark.parametrize("gamma", [0.5, 0.25])
-def test_positive_scalar_draw_is_the_first_of_a_batch(gamma):
-    one = sample_positive_stable(gamma, stream(4, 3))
-    assert isinstance(one, np.float64)
-    assert one == sample_positive_stable(gamma, stream(4, 3), size=1)[0]
-    batch = sample_positive_stable(gamma, stream(4, 3), size=(2, 3))
-    assert batch.shape == (2, 3)
+    assert one == sampler(param, stream(4, 3), size=1)[0]
+    assert sampler(param, stream(4, 3), size=(2, 3)).shape == (2, 3)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, "10"])

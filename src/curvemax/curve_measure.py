@@ -25,6 +25,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -122,10 +123,9 @@ def _integer_scales(ks) -> np.ndarray:
     except OverflowError:
         big = next(k for k in np.ravel(np.asarray(ks, dtype=object)).tolist()
                    if abs(k) > sys.float_info.max)
-        digits = str(abs(big))
+        # Decimal, not str: str refuses ints of more than 4300 digits
         raise ValueError(f"scale k must be a finite integer, got k = "
-                         f"{'-' if big < 0 else ''}{digits[0]}.{digits[1:4]}e+"
-                         f"{len(digits) - 1}, past the double range") from None
+                         f"{Decimal(big):.3e}, past the double range") from None
     bad = ~np.isfinite(ks) | (ks != np.floor(ks))
     if bad.any():
         raise ValueError(f"scale k must be a finite integer, got "

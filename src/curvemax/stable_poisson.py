@@ -25,8 +25,8 @@ place, in the arrays of U and W and two more of their size.  The level-1
 subordinator (gamma = 1/2, present for every d >= 2) takes the form's
 closed case T = (1 + tan(U/2)^2) / (4 W): one tangent per draw, the same U
 and W, and the general form's value within a few ulps.  Against the
-formulas at 160 bits the draws are as accurate as the libm forms they
-replaced, to 2 ulps (tests/test_stable_poisson.py).
+formulas at 160 bits the draws' largest error is that of the libm forms
+they replaced, to within half an ulp (tests/test_stable_poisson.py).
 """
 
 from __future__ import annotations

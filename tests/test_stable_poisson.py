@@ -193,9 +193,10 @@ def _ulps(got, want):
 def test_tangent_forms_are_no_less_accurate_than_libm(law, param):
     # each sine and cosine now comes from one tangent; on the same U and W,
     # the uniforms next to the interval ends included, the draws' largest
-    # error against the formula at 160 bits is within 2 ulps of that of the
-    # libm forms.  Most of either is the rounding of the exponents and of
-    # beta U or gamma U, which both share, raised through the powers
+    # error against the formula at 160 bits exceeds that of the libm forms
+    # by less than half an ulp (by 0.23 at most, at gamma = 1/4).  Most of
+    # either is the rounding of the exponents and of beta U or gamma U,
+    # which both share, raised through the powers
     mp = pytest.importorskip("mpmath").mp
     rng = np.random.default_rng(0)
     k = np.arange(1, 41)
@@ -226,7 +227,7 @@ def test_tangent_forms_are_no_less_accurate_than_libm(law, param):
                      / mp.sin(a) ** (1 / (1 - p)) / b) ** ((1 - p) / p)
                     for a, b in zip(us, ws)]
         assert np.all(np.isfinite(new)) and np.all(new != 0.0)
-        assert _ulps(new, want).max() <= _ulps(old, want).max() + 2.0
+        assert _ulps(new, want).max() <= _ulps(old, want).max() + 0.5
 
 
 @pytest.mark.parametrize("sampler, param", [

@@ -304,6 +304,8 @@ def multiplier_profile(seed: int, n_oracle: int, dims, per_dim: int,
     """
     _check_something(n_oracle=n_oracle, dims=dims, per_dim=per_dim,
                      n_env=n_env)
+    for d in dims:
+        make_space(d)
     rng = family_stream(seed, "profile-oracle", 0)
 
     max_oracle_err = 0.0
@@ -368,6 +370,8 @@ def log_growth(seed: int, d_list, budget: int, tol: float, ind_dims,
     The induction terms are off exactly when ind_dims is empty and per_dim 0.
     """
     _check_something(d_list=d_list)
+    for d in (*d_list, *ind_dims):
+        make_space(d)
     if per_dim < 0 or bool(len(ind_dims)) != (per_dim > 0):
         raise ValueError(f"ind_dims = {ind_dims!r} and per_dim = {per_dim!r} "
                          "must switch the induction terms on or off together")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -58,6 +59,11 @@ class DyadicWindow:
     k_max: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.k_min), operator.index(self.k_max)
+        except TypeError:
+            raise ValueError(f"dyadic window bounds must be integers, got "
+                             f"[{self.k_min!r}, {self.k_max!r}]") from None
         if self.k_min > self.k_max:
             raise ValueError("empty dyadic window")
 

@@ -53,8 +53,8 @@ class GridFunction:
     def shifted(self, offset) -> np.ndarray:
         """Samples of x -> f(x - offset) by multilinear interpolation of the
         zero-extended lattice: the one-translate definition whose sums
-        maxop._stencil turns into a stencil, which the curve and shell
-        averages apply exactly and the Poisson averages by FFT."""
+        maxop._stencil turns into a stencil that every average applies by
+        FFT."""
         pixels = [o / st for o, st in zip(np.atleast_1d(offset), self.steps)]
         return ndimage.shift(self.samples, shift=pixels, order=1,
                              mode="grid-constant", cval=0.0, prefilter=False)

@@ -1,20 +1,21 @@
 """Maximal averages along the moment curve on sampled grids (d <= 3).
 
-All operators share one stencil, _stencil: the sum of the lattice translates
-f(x - p) over a point set, by multilinear interpolation of the zero-extended
-lattice, is one stencil over integer offsets, scattered densely onto its
-bounding box.  The zero-extended lattice itself is a zero-padded copy of the
-samples, read by plain slices.  Curve and shell averages pass the curve
-points (t, t^2, ..., t^d) at midpoint nodes in t and apply the stencil
-exactly, one add of a padded slice per nonzero offset (_translate_sum).
-Poisson averages pass draws from the stable-mixture kernel, whose
-heavy-tailed draws spread the stencil over thousands of offsets (those that
-land off the grid drop out of it), and also need the exact sum of per-draw
-squares behind their standard error; they apply every stencil layer as one
-circular convolution by FFT (_translate_sums_fft), whose rounding sits many
-orders below their Monte Carlo error.  Each maximal function is a pointwise
-max of such averages over radii, dyadic shells or Poisson scales.  A general
-curve (gamma_1 t, ..., gamma_d t^d) goes through curve_measure.gamma_reduce.
+Every average is a convolution of f with a measure, applied in one way: the
+sum of the lattice translates f(x - p) over a point set, by multilinear
+interpolation of the zero-extended lattice, is one stencil over integer
+offsets, scattered densely onto its bounding box (_stencil), and each
+stencil layer is applied as one circular convolution by FFT
+(_translate_sums).  Curve and shell averages pass the curve points
+(t, t^2, ..., t^d) at midpoint nodes in t; Poisson averages pass draws from
+the stable-mixture kernel, whose heavy-tailed draws spread the stencil over
+thousands of offsets (those that land off the grid drop out of it), and
+also take the layers of the exact sum of per-draw squares behind their
+standard error.  The FFT's rounding, measured at most 3 eps max(f) in an
+average, is the only difference from the exact stencil sum; it sits many
+orders below the discretization and Monte Carlo errors the checks allow.
+Each maximal function is a pointwise max of such averages over radii,
+dyadic shells or Poisson scales.  A general curve (gamma_1 t, ...,
+gamma_d t^d) goes through curve_measure.gamma_reduce.
 
 Two comparison checks accompany the operators.  The sandwich check measures
 how far the dyadic and continuous maxima drift from the two-sided pointwise
@@ -36,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .curve_measure import DyadicWindow
+from .curve_measure import DyadicWindow, _integer_scales
 from .grid import GridFunction
 from .norms import make_space
 from .rng import family_stream
@@ -108,71 +109,50 @@ def _stencil(f: GridFunction, pts: np.ndarray, squares: bool):
     return low, np.moveaxis(stencil.reshape(*box, n_layers), -1, 0)
 
 
-def _translate_sum(f: GridFunction, pts: np.ndarray) -> np.ndarray:
-    """sum_p f(x - p) over the rows p of pts, exactly as a stencil sum.
+def _translate_sums(f: GridFunction, pts: np.ndarray, squares: bool):
+    """[sum_p f(x - p)], or with squares [sum_p f(x - p), sum_p f(x - p)^2],
+    over the rows p of pts: the one application of _stencil under every
+    grid average, each stencil layer as one circular convolution.
 
-    The samples are zero-padded once by the stencil box, and each nonzero
-    offset m adds its weight times one slice of the padded copy (f[i - m]
-    for every output i), in lexicographic offset order.  Every term is a
-    nonnegative sample times a nonnegative weight (+0.0 off the grid), so
-    the curve and shell averages keep exact identities such as the mean of
-    a constant inside the box.
-    """
-    samples = f.samples
-    low, stencil = _stencil(f, pts, squares=False)
-    weights = stencil[0].ravel()
-    nonzero = np.flatnonzero(weights)
-    offsets = np.stack(np.unravel_index(nonzero, stencil.shape[1:]), axis=-1) + low
-    # f[i - m] is padded[i - m + top], top the largest offset (or 0)
-    top = np.maximum(low + stencil.shape[1:] - 1, 0)
-    padded = np.pad(samples, list(zip(top, np.maximum(-low, 0))))
-    starts = top - offsets
-    acc = np.zeros_like(samples)
-    for start, stop, weight in zip(starts.tolist(), (starts + samples.shape).tolist(),
-                                   weights[nonzero].tolist()):
-        acc += weight * padded[tuple(map(slice, start, stop))]
-    return acc
-
-
-def _translate_sums_fft(f: GridFunction, pts: np.ndarray):
-    """(sum_p f(x - p), sum_p f(x - p)^2) over the rows p of pts, each
-    stencil layer of _stencil applied as one circular convolution.
-
-    Layer 0 convolves f; layer 1 + q convolves Q_delta.  The square layers'
-    spectra are summed and inverted once.  On an axis of N points with
-    stencil box [low, high + 1] of width B, the circular length
-    L >= max(N + B - 1 + low, N - low) keeps the N wanted outputs free of
-    aliasing: output i reads f[(i - m) mod L] over m in [low, high + 1],
-    and i - m lies in [-(high + 1), N - 1 - low].  A negative i - m wraps to
-    at least L - (high + 1) = L - (B - 1 + low) >= N, and an i - m >= N
-    wraps to at most N - 1 - low - L < 0, so every read off the grid reads a
-    zero pad.  Where B > L, rfftn crops box entries m >= low + L >= N,
-    which read only zeros for every output.
+    Layer 0 convolves f; with squares, layer 1 + q convolves Q_delta, and
+    the square layers' spectra are summed and inverted once.  On an axis of
+    N points with stencil box [low, high + 1] of width B, the circular
+    length L >= max(N + B - 1 + low, N - low) keeps the N wanted outputs
+    free of aliasing: output i reads f[(i - m) mod L] over m in
+    [low, high + 1], and i - m lies in [-(high + 1), N - 1 - low].  A
+    negative i - m wraps to at least L - (high + 1) = L - (B - 1 + low) >= N,
+    and an i - m >= N wraps to at most N - 1 - low - L < 0, so every read
+    off the grid reads a zero pad.  Where B > L, rfftn crops box entries
+    m >= low + L >= N, which read only zeros for every output.
 
     Both sums are sums of nonnegative terms, so both are clamped at 0:
     rounding, measured at most 3 eps len(pts) max(f)^k (k = 1 for the sum,
-    2 for the squares), is the only way they go negative.
+    2 for the squares), is the only way they go negative.  It is the only
+    difference from the exact stencil sum, so identities such as the mean
+    of a constant hold to that bound, not exactly.
     """
     samples = f.samples
-    low, stencil = _stencil(f, pts, squares=True)
-    _, deltas, _ = _corner_pairs(f.d)
+    low, stencil = _stencil(f, pts, squares)
     size = [next_fast_len(int(max(n + b - 1 + lo, n - lo)), real=True)
             for n, b, lo in zip(samples.shape, stencil.shape[1:], low)]
     spectrum = rfftn(stencil[0], s=size)
     spectrum *= rfftn(samples, s=size)
-    spectrum_sq = np.zeros_like(spectrum)
-    padded = np.pad(samples, 1)     # f[u - delta] is padded[u - delta + 1]
-    for layer, delta in zip(stencil[1:], deltas):
-        product = rfftn(layer, s=size)
-        shifted = padded[tuple(slice(1 - k, 1 - k + n)
-                               for k, n in zip(delta, samples.shape))]
-        product *= rfftn(samples * shifted, s=size)
-        spectrum_sq += product
+    spectra = [spectrum]
+    if squares:
+        _, deltas, _ = _corner_pairs(f.d)
+        spectrum_sq = np.zeros_like(spectrum)
+        padded = np.pad(samples, 1)     # f[u - delta] is padded[u - delta + 1]
+        for layer, delta in zip(stencil[1:], deltas):
+            product = rfftn(layer, s=size)
+            shifted = padded[tuple(slice(1 - k, 1 - k + n)
+                                   for k, n in zip(delta, samples.shape))]
+            product *= rfftn(samples * shifted, s=size)
+            spectrum_sq += product
+        spectra.append(spectrum_sq)
     # output i sits at (i - low) mod L: the stencil box starts at offset low
     window = np.ix_(*[(np.arange(n) - lo) % size_a
                       for n, lo, size_a in zip(samples.shape, low, size)])
-    return tuple(np.maximum(irfftn(x, s=size)[window], 0.0)
-                 for x in (spectrum, spectrum_sq))
+    return [np.maximum(irfftn(x, s=size)[window], 0.0) for x in spectra]
 
 
 def _average_over(f: GridFunction, t_samples: int, lo: float, hi: float,
@@ -192,7 +172,7 @@ def _average_over(f: GridFunction, t_samples: int, lo: float, hi: float,
     if escaped > ESCAPE_WARN_FRACTION * len(ts):
         warnings.warn(f"curve left the grid for {escaped}/{len(ts)} nodes",
                       RuntimeWarning, stacklevel=3)
-    acc = _translate_sum(f, pts)
+    acc, = _translate_sums(f, pts, squares=False)
     return f.with_samples(acc * (1.0 / len(ts)))
 
 
@@ -207,6 +187,7 @@ def curve_average(f: GridFunction, r: float, t_samples: int = 256) -> GridFuncti
 def shell_average(f: GridFunction, k: int, t_samples: int = 256) -> GridFunction:
     """Dyadic shell average (1/2^k) int_{2^{k-1}<|t|<=2^k} f(x - curve(t)) dt
     by midpoint rule on t_samples // 2 cells of each half of the shell."""
+    _integer_scales(k)
     try:
         hi = 2.0**k
     except OverflowError:
@@ -318,7 +299,7 @@ def _poisson_average(f: GridFunction, t: float, mc_samples: int,
     if mc_samples < 100:
         raise ValueError("need at least 100 Monte Carlo samples")
     pts, _ = sample_kernel_batch(make_space(f.d), t, mc_samples, rng)
-    acc, acc_sq = _translate_sums_fft(f, pts)
+    acc, acc_sq = _translate_sums(f, pts, squares=True)
     mean = acc / mc_samples
     var = np.maximum(acc_sq / mc_samples - mean * mean, 0.0)
     return mean, np.sqrt(var / mc_samples)

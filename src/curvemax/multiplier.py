@@ -43,7 +43,7 @@ from .curve_measure import (DyadicWindow, sigma_hat_upper_bound, top_index,
                             _decay_prefactor, _dyadic_logs, _integer_scales,
                             _lipschitz_size, _normal_frequency, _phase_size,
                             _shells)
-from .norms import _annulus_point, rho
+from .norms import _annulus_point, make_space, rho
 from .oscillatory import QuadratureError, _require_tol
 from .rng import family_stream
 
@@ -314,6 +314,7 @@ def sup_search(d: int, budget: int = 1000, seed: int = 0, *, tol: float,
     """
     if budget < 4:
         raise ValueError("budget too small to search")
+    make_space(d)
     rng = family_stream(seed, "sup-search", d)
     evals = 0
     best = None  # the profile of the best point so far

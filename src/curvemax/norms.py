@@ -149,6 +149,7 @@ def rho(x):
 def _annulus_point(rng: np.random.Generator, d: int,
                    lo: float = 1.0, hi: float = 2.0) -> np.ndarray:
     """A normal direction dilated to a uniform norm in [lo, hi)."""
+    make_space(d)   # a d outside [1, MAX_DIMENSION] would draw forever at 0
     v = rng.standard_normal(d)
     while not np.any(v):
         v = rng.standard_normal(d)

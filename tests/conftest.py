@@ -1,6 +1,36 @@
+import faulthandler
+import os
+import sys
+
+import pytest
 from hypothesis import settings
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure reproduces from the source alone.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+# A test that runs past this limit dumps every thread's traceback and ends
+# the run, so a loop that never exits cannot stall the suite.  The limit sits
+# far above the slowest test, a few seconds; module and session fixtures,
+# such as the 15 s acceptance battery, are set up before it is armed.
+TEST_TIME_LIMIT_S = 300
+TERMINAL_STDERR = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # a copy of the terminal's stderr, taken while output capture is off,
+    # so the traceback is seen rather than captured with the test's output
+    config.stash[TERMINAL_STDERR] = os.fdopen(os.dup(sys.stderr.fileno()), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[TERMINAL_STDERR].close()
+
+
+@pytest.fixture(autouse=True)
+def time_limit(pytestconfig):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True,
+                                      file=pytestconfig.stash[TERMINAL_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()

@@ -101,3 +101,14 @@ def test_gate_that_would_check_nothing_is_rejected(name, overrides, param):
     # semigroup draw reported a zero standard error)
     with pytest.raises(ValueError, match=rf"\b{param} = "):
         acceptance.run(name, seed=0, quick=True, **overrides)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("log-growth", {"d_list": (0,)}),
+    ("log-growth", {"ind_dims": (0,)}),
+    ("multiplier-profile", {"dims": (0,)}),
+])
+def test_dimension_outside_the_cap_is_rejected(name, overrides):
+    # each drew empty directions forever in norms._annulus_point
+    with pytest.raises(ValueError, match=r"\[1, 64\], got 0$"):
+        acceptance.run(name, seed=0, quick=True, **overrides)

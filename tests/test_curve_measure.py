@@ -300,6 +300,13 @@ def test_dyadic_window_iterates_inclusive():
         DyadicWindow(3, 1)
 
 
+@pytest.mark.parametrize("bounds", [(-2.5, 0.5), (0, 1.0), (math.nan, 0)])
+def test_dyadic_window_needs_integer_bounds(bounds):
+    # (-2.5, 0.5) was accepted and failed later, in range, with a TypeError
+    with pytest.raises(ValueError, match="must be integers"):
+        DyadicWindow(*bounds)
+
+
 def test_curve_coeffs_validation():
     c = CurveCoeffs((1.0, -2.0))
     assert c.gamma == (1.0, -2.0)

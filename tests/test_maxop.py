@@ -98,6 +98,14 @@ def test_shell_past_the_double_range_is_rejected():
         shell_average(constant_grid(), 1024)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.5])
+def test_shell_average_needs_a_finite_integer_scale(k):
+    # nan and inf gave an all-zero average with no warning, and 0.5 the
+    # non-dyadic shell (2^-1/2, 2^1/2]
+    with pytest.raises(ValueError, match=f"finite integer, got k = {k}"):
+        shell_average(constant_grid(), k)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_poisson_max_rejects_non_finite_scale(t):
     # nan gave zeros with rel_stderr 0 and no warning
@@ -162,31 +170,6 @@ def test_averages_are_means_of_translates_over_midpoint_nodes():
         np.testing.assert_allclose(avg.samples[mask], ref[mask], rtol=1e-13)
 
 
-def _offset_slices(m, shape):
-    """Slices (dst, src) with dst holding every i where i - m is on the grid
-    and src the matching i - m."""
-    dst = tuple(slice(max(k, 0), min(size, size + k)) for k, size in zip(m, shape))
-    src = tuple(slice(max(-k, 0), min(size, size - k)) for k, size in zip(m, shape))
-    return dst, src
-
-
-def clipped_translate_sum(f: GridFunction, pts: np.ndarray) -> np.ndarray:
-    """The stencil sum with each offset's reads clipped to the grid, one
-    slice pair per nonzero offset in lexicographic order: the reference that
-    _translate_sum's reads of a zero-padded copy must equal bit for bit (an
-    off-grid read adds w * 0 = +0.0 to a nonnegative sum)."""
-    samples = f.samples
-    low, stencil = maxop._stencil(f, pts, squares=False)
-    weights = stencil[0].ravel()
-    nonzero = np.flatnonzero(weights)
-    offsets = np.stack(np.unravel_index(nonzero, stencil.shape[1:]), axis=-1) + low
-    acc = np.zeros_like(samples)
-    for m, weight in zip(offsets.tolist(), weights[nonzero].tolist()):
-        dst, src = _offset_slices(m, samples.shape)
-        acc[dst] += weight * samples[src]
-    return acc
-
-
 @pytest.mark.parametrize("d, n", [(1, 40), (2, 17), (3, 9)])
 def test_translate_sum_matches_per_translate_sums(d, n):
     # the whole grid, boundary band included: both stencil paths read the
@@ -204,14 +187,13 @@ def test_translate_sum_matches_per_translate_sums(d, n):
     ])
     translates = np.array([f.shifted(p) for p in pts])
     ref, ref_sq = translates.sum(axis=0), (translates**2).sum(axis=0)
-    exact = maxop._translate_sum(f, pts)
-    np.testing.assert_array_equal(exact, clipped_translate_sum(f, pts))
-    np.testing.assert_allclose(exact, ref, rtol=1e-13, atol=1e-13 * ref.max())
-    acc, acc_sq = maxop._translate_sums_fft(f, pts)
+    acc, acc_sq = maxop._translate_sums(f, pts, squares=True)
     np.testing.assert_allclose(acc, ref, rtol=1e-13, atol=1e-13 * ref.max())
     np.testing.assert_allclose(acc_sq, ref_sq, rtol=1e-13,
                                atol=1e-13 * ref_sq.max())
-    np.testing.assert_allclose(acc, exact, rtol=1e-13, atol=1e-13 * exact.max())
+    # the square layers leave the plain sum's stencil and FFT untouched
+    plain, = maxop._translate_sums(f, pts, squares=False)
+    np.testing.assert_array_equal(plain, acc)
 
 
 def fft_rounding_bound(f: GridFunction, n_pts: int, power: int) -> float:
@@ -271,9 +253,7 @@ def test_fft_path_at_the_edges_of_its_circular_layout(d, n):
                      samples=rng.uniform(0.0, 2.0, (n,) * d))
     for name, pts in fft_path_families(d, n, np.array(f.steps), rng).items():
         translates = np.array([f.shifted(p) for p in pts])
-        np.testing.assert_array_equal(maxop._translate_sum(f, pts),
-                                      clipped_translate_sum(f, pts), err_msg=name)
-        acc, acc_sq = maxop._translate_sums_fft(f, pts)
+        acc, acc_sq = maxop._translate_sums(f, pts, squares=True)
         for power, got in ((1, acc), (2, acc_sq)):
             ref = (translates**power).sum(axis=0)
             err = float(np.max(np.abs(got - ref)))
@@ -281,8 +261,6 @@ def test_fft_path_at_the_edges_of_its_circular_layout(d, n):
             assert np.all(got >= 0.0), (name, power)
         if name == "off the grid":
             assert not acc.any() and not acc_sq.any()
-        if name == "corner only":
-            assert np.flatnonzero(maxop._translate_sum(f, pts)).tolist() == [n**d - 1]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -292,17 +270,13 @@ def test_translate_sum_of_whole_cell_shifts_and_of_no_points(d):
                      samples=rng.uniform(0.5, 2.0, (6,) * d))
     cells = rng.integers(-7, 8, (30, d))
     translates = np.array([f.shifted(0.25 * c) for c in cells])
-    acc = maxop._translate_sum(f, 0.25 * cells)
-    np.testing.assert_array_equal(acc, clipped_translate_sum(f, 0.25 * cells))
+    acc, acc_sq = maxop._translate_sums(f, 0.25 * cells, squares=True)
     np.testing.assert_allclose(acc, translates.sum(axis=0), rtol=1e-14)
-    _, acc_sq = maxop._translate_sums_fft(f, 0.25 * cells)
     np.testing.assert_allclose(acc_sq, (translates**2).sum(axis=0), rtol=1e-14)
     none = np.empty((0, d))
-    np.testing.assert_array_equal(maxop._translate_sum(f, none), 0.0)
-    np.testing.assert_array_equal(maxop._translate_sum(f, none),
-                                  clipped_translate_sum(f, none))
-    for empty in maxop._translate_sums_fft(f, none):
-        np.testing.assert_array_equal(empty, 0.0)
+    for squares in (False, True):
+        for empty in maxop._translate_sums(f, none, squares):
+            np.testing.assert_array_equal(empty, 0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -311,8 +285,7 @@ def test_half_cell_shift_reads_the_zero_extended_lattice(d):
     # sample and the zero outside, where mode "constant" read 0 outright
     f = GridFunction(mins=(0.0,) * d, steps=(0.5,) * d, samples=np.full((5,) * d, 3.0))
     shift = np.array([(0.25,) * d])
-    acc = maxop._translate_sum(f, shift)
-    _, acc_sq = maxop._translate_sums_fft(f, shift)
+    acc, acc_sq = maxop._translate_sums(f, shift, squares=True)
     edge = (0,) * d
     assert acc[edge] == pytest.approx(3.0 / 2**d, rel=1e-15)
     assert acc_sq[edge] == pytest.approx((3.0 / 2**d) ** 2, rel=1e-15)
@@ -343,7 +316,9 @@ def test_sandwich_indicator_refines_to_zero():
         f = from_callable(ind, -2.0, 2.0, (n,))
         rep = sandwich_check(f, WINDOW, RADII, 256)
         assert rep.passed
-        assert rep.violation == 0.0
+        # only rounding is left: m_cont - 2 m_dyad reads three averages of
+        # 256 translates, each within fft_rounding_bound / 256 of its value
+        assert rep.violation <= 3.0 * fft_rounding_bound(f, 256, 1) / 256
 
 
 def test_sandwich_rejects_window_larger_than_grid():

@@ -162,6 +162,14 @@ def test_sup_search_dominates_dense_grid():
     assert row.evals <= 400 + 10
 
 
+@pytest.mark.parametrize("d", [0, -1, 65])
+def test_sup_search_rejects_a_dimension_outside_the_cap(d):
+    # d = 0 drew empty directions forever; -1 and 65 ended in an error
+    # about the stream family that did not name the dimension
+    with pytest.raises(ValueError, match=rf"\[1, 64\], got {d}$"):
+        sup_search(d, budget=10, tol=2e-3)
+
+
 def test_growth_table_monotone_and_fits():
     table = acceptance.run("log-growth", quick=True, d_list=(1, 2, 4),
                            budget=120, ind_dims=(), per_dim=0).details

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from curvemax.norms import (MAX_DIMENSION, ParabolicSpace, _blocks, ball_volume,
+from curvemax.norms import (MAX_DIMENSION, ParabolicSpace, _annulus_point,
+                            _blocks, ball_volume,
                             dilate, make_space, polar_integration_check,
                             quasi_triangle_ratio, rho)
 from curvemax.rng import stream
@@ -158,6 +159,13 @@ def test_dimension_cap():
         rho(np.ones(MAX_DIMENSION + 1))
     with pytest.raises(ValueError):
         make_space(0)
+
+
+@pytest.mark.parametrize("d", [0, -1, MAX_DIMENSION + 1])
+def test_annulus_point_rejects_a_dimension_outside_the_cap(d):
+    # d = 0 redrew an empty direction forever
+    with pytest.raises(ValueError, match=rf"got {d}$"):
+        _annulus_point(np.random.default_rng(0), d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])

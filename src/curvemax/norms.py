@@ -23,6 +23,7 @@ kernel sampler also calls to dilate its draws in place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -48,8 +49,9 @@ class ParabolicSpace:
 
 
 def make_space(d: int) -> ParabolicSpace:
-    if not 1 <= d <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {d}")
+    if not (isinstance(d, numbers.Integral) and 1 <= d <= MAX_DIMENSION):
+        raise ValueError(f"dimension must be an integer in "
+                         f"[1, {MAX_DIMENSION}], got {d}")
     n = 0
     while 2**n < d:
         n += 1

@@ -10,10 +10,10 @@ from hypothesis import settings
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
-# A test that runs past this limit dumps every thread's traceback and ends
-# the run, so a loop that never exits cannot stall the suite.  The limit sits
-# far above the slowest test, a few seconds; module and session fixtures,
-# such as the 15 s acceptance battery, are set up before it is armed.
+# A test that runs past this limit, its fixtures' setup and teardown
+# included, dumps every thread's traceback and ends the run, so a loop that
+# never exits cannot stall the suite.  The limit sits far above the slowest
+# test, the first acceptance test, which sets up the 15 s battery.
 TEST_TIME_LIMIT_S = 300
 TERMINAL_STDERR = pytest.StashKey()
 
@@ -28,9 +28,11 @@ def pytest_unconfigure(config):
     config.stash[TERMINAL_STDERR].close()
 
 
-@pytest.fixture(autouse=True)
-def time_limit(pytestconfig):
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    # a hook, not an autouse fixture: that would be armed only after the
+    # module and session fixtures it shares a setup with
     faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True,
-                                      file=pytestconfig.stash[TERMINAL_STDERR])
+                                      file=item.config.stash[TERMINAL_STDERR])
     yield
     faulthandler.cancel_dump_traceback_later()

@@ -172,7 +172,7 @@ def test_averages_are_means_of_translates_over_midpoint_nodes():
 
 @pytest.mark.parametrize("d, n", [(1, 40), (2, 17), (3, 9)])
 def test_translate_sum_matches_per_translate_sums(d, n):
-    # the whole grid, boundary band included: both stencil paths read the
+    # the whole grid, boundary band included: the stencil path reads the
     # same zero-extended lattice as each translate does
     rng = np.random.default_rng(20 + d)
     f = GridFunction(mins=(-1.0,) * d, steps=tuple(rng.uniform(0.1, 0.3, d)),

@@ -162,10 +162,11 @@ def test_sup_search_dominates_dense_grid():
     assert row.evals <= 400 + 10
 
 
-@pytest.mark.parametrize("d", [0, -1, 65])
+@pytest.mark.parametrize("d", [0, -1, 65, 2.5])
 def test_sup_search_rejects_a_dimension_outside_the_cap(d):
     # d = 0 drew empty directions forever; -1 and 65 ended in an error
-    # about the stream family that did not name the dimension
+    # about the stream family that did not name the dimension, 2.5 in a
+    # TypeError
     with pytest.raises(ValueError, match=rf"\[1, 64\], got {d}$"):
         sup_search(d, budget=10, tol=2e-3)
 

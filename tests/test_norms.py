@@ -6,9 +6,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from curvemax.norms import (MAX_DIMENSION, ParabolicSpace, _annulus_point,
-                            _blocks, ball_volume,
-                            dilate, make_space, polar_integration_check,
-                            quasi_triangle_ratio, rho)
+                            _blocks, ball_volume, dilate, make_space,
+                            polar_integration_check, quasi_triangle_ratio, rho)
 from curvemax.rng import stream
 
 
@@ -161,9 +160,10 @@ def test_dimension_cap():
         make_space(0)
 
 
-@pytest.mark.parametrize("d", [0, -1, MAX_DIMENSION + 1])
+@pytest.mark.parametrize("d", [0, -1, MAX_DIMENSION + 1, 2.5])
 def test_annulus_point_rejects_a_dimension_outside_the_cap(d):
-    # d = 0 redrew an empty direction forever
+    # d = 0 redrew an empty direction forever; make_space(2.5) built a
+    # space with alpha = 4.0
     with pytest.raises(ValueError, match=rf"got {d}$"):
         _annulus_point(np.random.default_rng(0), d)
 

@@ -163,6 +163,17 @@ def test_shell_transform_is_integrated_in_one_place():
     assert not {"osc_integral", "osc_integrals"} & set(_calls(sigma_hat))
 
 
+def test_every_grid_average_applies_its_stencil_in_one_place():
+    # top-level definitions in the package that call each primitive
+    def callers(primitive):
+        return [(mod, node.name) for mod, tree in _modules().items()
+                for node in tree.body if primitive in _calls(node)]
+
+    assert callers("_stencil") == [("maxop", "_translate_sums")]
+    assert callers("_translate_sums") == [("maxop", "_average_over"),
+                                          ("maxop", "_poisson_average")]
+
+
 def _code_names(tree) -> set:
     """Names a module reads in code; string constants (docstrings) do not
     count."""
